@@ -156,12 +156,12 @@ def measure(jobs: int, repeats: int = 2) -> dict:
     traces, policies = _smoke_matrix()
     cells = len(traces) * len(policies)
     best: dict[str, float] = {}
-    # Both engines run with the cyclic garbage collector off: the
-    # generational GC repeatedly re-traverses every long-lived container
-    # (the batched engine's plans alone hold millions of tuples), which
-    # adds double-digit-percent wall-clock that measures the allocator,
-    # not the engines. Reference counting still frees everything that
-    # matters here; the collector is restored afterwards.
+    # Both engines run with the cyclic garbage collector off: its full
+    # passes re-traverse every long-lived container (traces, policy
+    # tables, results), which measures the allocator, not the engines,
+    # and every earlier trajectory entry was timed this way. Reference
+    # counting still frees everything that matters here; the collector
+    # is restored afterwards.
     gc_was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()

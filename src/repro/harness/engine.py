@@ -768,6 +768,7 @@ def _simulate_group(
     config: MachineConfig,
     warmup_fraction: float,
     telemetry: TelemetryConfig | None = None,
+    memory_budget_mb: float | None = None,
 ) -> tuple[str, list[tuple[str, bool, SimulationResult | None]]]:
     """Worker entry point: one trace's cells through a shared batch plan.
 
@@ -778,36 +779,43 @@ def _simulate_group(
     the engine can route them through the ordinary per-cell machinery
     (with its own failure classification and retry semantics) instead of
     failing the whole group.
+
+    ``memory_budget_mb`` arms the same RSS watchdog as
+    :func:`_simulate_cell` around the whole group: a breach raises
+    :class:`~repro.errors.MemoryBudgetError` out of the group, and its
+    cells fall through to the per-cell path, which runs them under the
+    same budget and classifies a repeat breach.
     """
     from ..core.simulator import build_hierarchy
     from ..mem.batch import BatchSimulator, batch_eligible
 
-    sim: BatchSimulator | None = None
-    plan_failed = False
-    outcomes: list[tuple[str, bool, SimulationResult | None]] = []
-    for policy in policies:
-        try:
-            hierarchy = build_hierarchy(config, policy)
-            if plan_failed or not batch_eligible(hierarchy, trace):
-                outcomes.append((policy, False, None))
-                continue
-            if sim is None:
-                try:
-                    sim = BatchSimulator(trace, config, warmup_fraction, telemetry)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    # Plan construction is shared state: if it fails once
-                    # it fails for every policy, so stop re-attempting.
-                    plan_failed = True
+    with memory_guard(memory_budget_mb):
+        sim: BatchSimulator | None = None
+        plan_failed = False
+        outcomes: list[tuple[str, bool, SimulationResult | None]] = []
+        for policy in policies:
+            try:
+                hierarchy = build_hierarchy(config, policy)
+                if plan_failed or not batch_eligible(hierarchy, trace):
                     outcomes.append((policy, False, None))
                     continue
-            outcomes.append((policy, True, sim.run_cell(policy, hierarchy)))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            outcomes.append((policy, False, None))
-    return workload, outcomes
+                if sim is None:
+                    try:
+                        sim = BatchSimulator(trace, config, warmup_fraction, telemetry)
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except Exception:
+                        # Plan construction is shared state: if it fails once
+                        # it fails for every policy, so stop re-attempting.
+                        plan_failed = True
+                        outcomes.append((policy, False, None))
+                        continue
+                outcomes.append((policy, True, sim.run_cell(policy, hierarchy)))
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception:
+                outcomes.append((policy, False, None))
+        return workload, outcomes
 
 
 def _simulate_group_by_name(
@@ -816,6 +824,7 @@ def _simulate_group_by_name(
     config: MachineConfig,
     warmup_fraction: float,
     telemetry: TelemetryConfig | None = None,
+    memory_budget_mb: float | None = None,
 ) -> tuple[str, list[tuple[str, bool, SimulationResult | None]]]:
     """Group worker entry resolving the trace from the worker registry."""
     trace = _WORKER_TRACES.get(workload)
@@ -825,7 +834,8 @@ def _simulate_group_by_name(
             "was the pool created without the trace initializer?"
         )
     return _simulate_group(
-        workload, policies, trace, config, warmup_fraction, telemetry
+        workload, policies, trace, config, warmup_fraction, telemetry,
+        memory_budget_mb,
     )
 
 
@@ -1122,7 +1132,12 @@ class SweepEngine:
             ):
                 pending = self._run_batched(
                     pending, traces, config, warmup_fraction, telemetry, record,
+                    memory_budget_mb, shutdown, drain_timeout,
                 )
+                if shutdown is not None and shutdown.requested:
+                    # Drained groups are recorded; everything else is
+                    # left to a resume rather than run per cell now.
+                    pending = []
 
             if failure_report is not None:
                 self._run_resilient(
@@ -1429,6 +1444,9 @@ class SweepEngine:
         warmup_fraction: float,
         telemetry: TelemetryConfig | None,
         record: Callable[[str, str, SimulationResult], None],
+        memory_budget_mb: float | None = None,
+        shutdown: ShutdownCoordinator | None = None,
+        drain_timeout: float = 30.0,
     ) -> list[tuple[str, str]]:
         """Run pending cells through per-trace batch plans.
 
@@ -1438,9 +1456,16 @@ class SweepEngine:
         upper-hierarchy work amortized across policies). Completed cells
         are recorded (and checkpointed) immediately; everything the
         batch path could not complete — ineligible policies, plan
-        failures, individual cell errors, whole-group worker crashes —
-        is returned in deterministic order for the ordinary per-cell
-        machinery, which owns failure classification and retries.
+        failures, individual cell errors, whole-group worker crashes,
+        memory-budget breaches — is returned in deterministic order for
+        the ordinary per-cell machinery, which owns failure
+        classification and retries.
+
+        With ``shutdown`` armed the serial loop checks the flag before
+        each group, and the pool loop polls it between wait slices: on
+        request, groups that have not started are cancelled and running
+        ones drain for at most ``drain_timeout`` seconds; the caller
+        leaves every cell not recorded by then to a resume.
         """
         groups: dict[str, list[str]] = {}
         for workload, policy in pending:
@@ -1467,41 +1492,61 @@ class SweepEngine:
                 futures: dict[Future, tuple[str, list[str]]] = {
                     pool.submit(
                         _simulate_group_by_name, workload, policies,
-                        config, warmup_fraction, telemetry,
+                        config, warmup_fraction, telemetry, memory_budget_mb,
                     ): (workload, policies)
                     for workload, policies in groups.items()
                 }
                 outstanding = set(futures)
+
+                def collect(done: set[Future]) -> None:
+                    for future in done:
+                        workload, policies = futures[future]
+                        try:
+                            _, outcomes = future.result()
+                        except (KeyboardInterrupt, SystemExit):
+                            raise
+                        except Exception:
+                            # A group-level fault (worker death, registry
+                            # miss, budget breach) forfeits only this
+                            # trace's batch; its cells retry per cell
+                            # where failures are classified.
+                            leftover.update(
+                                (workload, policy) for policy in policies
+                            )
+                        else:
+                            consume(workload, outcomes)
+
                 try:
                     while outstanding:
-                        done, outstanding = wait(
-                            outstanding, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            workload, policies = futures[future]
-                            try:
-                                _, outcomes = future.result()
-                            except (KeyboardInterrupt, SystemExit):
-                                raise
-                            except Exception:
-                                # A group-level fault (worker death,
-                                # registry miss) forfeits only this
-                                # trace's batch; its cells retry per
-                                # cell where failures are classified.
-                                leftover.update(
-                                    (workload, policy) for policy in policies
+                        if shutdown is not None and shutdown.requested:
+                            for future in outstanding:
+                                future.cancel()
+                            deadline = time.monotonic() + drain_timeout
+                            while outstanding and time.monotonic() < deadline:
+                                done, outstanding = wait(
+                                    outstanding, timeout=0.25,
+                                    return_when=FIRST_COMPLETED,
                                 )
-                            else:
-                                consume(workload, outcomes)
+                                collect(done)
+                            pool.shutdown(wait=False, cancel_futures=True)
+                            break
+                        slice_timeout = 0.5 if shutdown is not None else None
+                        done, outstanding = wait(
+                            outstanding, timeout=slice_timeout,
+                            return_when=FIRST_COMPLETED,
+                        )
+                        collect(done)
                 except BaseException:
                     pool.shutdown(wait=False, cancel_futures=True)
                     raise
         else:
             for workload, policies in groups.items():
+                if shutdown is not None and shutdown.requested:
+                    break
                 try:
                     _, outcomes = _simulate_group(
                         workload, policies, traces[workload], config,
-                        warmup_fraction, telemetry,
+                        warmup_fraction, telemetry, memory_budget_mb,
                     )
                 except (KeyboardInterrupt, SystemExit):
                     raise

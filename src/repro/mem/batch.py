@@ -21,15 +21,29 @@ Only the *stall values* (completion cycle vs front-end cycle) differ per
 policy.
 
 :class:`BatchPlan` therefore scans the trace once per (trace, config,
-warmup) combination and bakes out, per record:
+warmup) combination and bakes out three typed columns, one entry per
+record (16 bytes in all):
 
-* ``gap / dispatch_width`` (the float the core adds every record),
-* the base latency (L1 hit, +L2 on L1 miss, +LLC on L2 miss),
-* an opcode packing the LLC event count, the ROB pop count, the MSHR
-  pop flag and the load flag,
+* ``gap / dispatch_width`` (float64, the float the core adds every
+  record),
+* the base latency (int32: L1 hit, +L2 on L1 miss, +LLC on L2 miss),
+* an opcode (int32) packing the LLC event count, the ROB pop count, the
+  MSHR pop flag and the load flag,
 
-plus flat arrays of the LLC-visible events. :meth:`BatchPlan.replay`
-then drives one cell: the LLC tag/dirty rows and DRAM bank timing with
+plus one column per field of the LLC-visible events (36 bytes per
+event): the demand/writeback flag, block, PC, access kind and L1D
+origin, and the LLC set and DRAM row/bank a demand miss would use. The
+scan appends to ``array.array`` buffers that numpy then views without a
+copy, so a plan holds no Python object per record or per event.
+
+:meth:`BatchPlan.replay` reads those columns :data:`_CHUNK` records at a
+time: each chunk calls ``.tolist()`` on its slice of the records, and
+its events are streamed as the tuples the hot loop unpacks, with a fresh
+:class:`~repro.policies.base.PolicyAccess` per event. The Python objects
+of a replay live for one chunk, and the chunk is kept small so they are
+still in the CPU caches when the hot loop reads them.
+
+A replay drives one cell: the LLC tag/dirty rows and DRAM bank timing with
 the generic cache/memory bookkeeping inlined around the *real*
 policy-hook calls (``on_hit``/``find_victim``/``on_eviction``/
 ``on_fill`` — the per-cell variable is the policy, so its code runs
@@ -47,7 +61,9 @@ irreducible LLC/DRAM work:
   every core float is an exact multiple of ``1/width`` far below 2**53,
   so ``cycle`` arithmetic is *exact* and therefore associative: runs of
   records that neither pop, load, nor carry LLC events fold into a
-  single front-end advance bit-identically (:func:`_fold_records`).
+  single front-end advance bit-identically (:func:`_fold_records`, one
+  vectorized pass over the columns). Other widths replay the unfolded
+  columns.
 * The hot dispatch handles the three event-free record shapes
   (load+MSHR-pop, load into a free slot, store) without touching the
   event machinery at all.
@@ -68,7 +84,8 @@ so the tap observes every access and eviction.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from array import array
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -117,7 +134,7 @@ from ..policies.ship import SHCT_MAX, SHCT_SIZE, SIGNATURE_BITS, SHiPPolicy
 from .hierarchy import ServiceLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable, Iterable, Sequence
+    from collections.abc import Callable, Iterable, Iterator, Sequence
 
     from ..core.config import CoreConfig, MachineConfig
     from ..policies.base import ReplacementPolicy
@@ -146,6 +163,18 @@ _EV_SHIFT = 20
 #: representable (an integer multiple of 1/width below 2**53) so float
 #: addition stays associative; 2**50 leaves width ≤ 8 of headroom.
 _EXACT_CYCLE_BOUND = 1 << 50
+
+#: Records per chunk: the plan scan and every replay turn at most this
+#: many records (and their LLC events) into Python objects at a time.
+#: Small enough that a chunk's objects are still cache-resident when the
+#: replay reads them: on the matrix traces 8192-record chunks cost a
+#: replay up to 0.6 us more per event than 512-record ones.
+_CHUNK = 512
+
+#: Timing records as three parallel columns: ``gap / dispatch_width``
+#: (float64), base latency (int32) and opcode (int32: at most three LLC
+#: events per record keep it below 2**22).
+_Records = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class _PlanLevel:
@@ -242,13 +271,22 @@ class _PlanLevel:
         policy._clock = clock
 
 
+def _stream(columns: Sequence[np.ndarray], lo: int, hi: int) -> Iterator[tuple]:
+    """Rows ``[lo, hi)`` of parallel ``columns`` as tuples, converted to
+    Python objects :data:`_CHUNK` rows at a time."""
+    return chain.from_iterable(
+        zip(*[column[start:min(start + _CHUNK, hi)].tolist() for column in columns])
+        for start in range(lo, hi, _CHUNK)
+    )
+
+
 class _PlanMachine:
     """Upper-level machine that records LLC-visible events.
 
     Runs the L1I/L1D/L2 transitions of :class:`FastMachine` with the
     same shared monotonic clock, but instead of probing the LLC it
-    appends (demand | writeback) events to flat lists for the per-cell
-    replay to consume.
+    appends (demand | writeback) events to typed per-field buffers for
+    the per-cell replay to consume.
     """
 
     __slots__ = (
@@ -273,11 +311,11 @@ class _PlanMachine:
         self.l1d_misses = 0
         self.served_l1 = 0
         self.served_l2 = 0
-        self.ev_demand: list[int] = []
-        self.ev_block: list[int] = []
-        self.ev_pc: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_isdata: list[int] = []
+        self.ev_demand = array("b")
+        self.ev_block = array("Q")
+        self.ev_pc = array("Q")
+        self.ev_kind = array("b")
+        self.ev_isdata = array("b")
 
     def reset_counters(self) -> None:
         self.l1i.reset_counters()
@@ -401,26 +439,23 @@ class _PlanMachine:
         start: int,
         stop: int,
         core_cfg: CoreConfig,
-        gws: list[float],
-        lats: list[int],
-        codes: list[int],
-        prefixes: list[tuple[int, int, int, int, int, int]] | None,
+        gws: array[float],
+        lats: array[int],
+        codes: array[int],
+        prefixes: array[int] | None,
     ) -> tuple[int, int, int, int]:
         """Stream records [start, stop): upper levels + core schedule.
 
         Appends one (gap/width, base latency, opcode) triple per record
-        and returns ``(loads, base load latency, instructions, loads
-        still in flight)`` for the phase. The core schedule — how many
-        ROB entries retire at each record and whether a load waits on an
-        MSHR slot — is pure integer arithmetic on instruction positions,
-        so it is identical for every cell.
+        to the typed column buffers — with ``prefixes``, also the six
+        upper-level demand counters after it — and returns ``(loads,
+        base load latency, instructions, loads still in flight)`` for
+        the phase. The core schedule — how many ROB entries retire at
+        each record and whether a load waits on an MSHR slot — is pure
+        integer arithmetic on instruction positions, so it is identical
+        for every cell.
         """
         from collections import deque
-
-        addrs = trace.addrs[start:stop].tolist()
-        pcs = trace.pcs[start:stop].tolist()
-        kinds = trace.kinds[start:stop].tolist()
-        gaps = trace.gaps[start:stop].tolist()
 
         width = core_cfg.dispatch_width
         rob = core_cfg.rob_size
@@ -459,9 +494,11 @@ class _PlanMachine:
         gw_append = gws.append
         lat_append = lats.append
         code_append = codes.append
-        px_append = prefixes.append if prefixes is not None else None
+        px_extend = prefixes.extend if prefixes is not None else None
 
-        for addr, pc, kind, gap in zip(addrs, pcs, kinds, gaps):
+        records = trace.records
+        fields = (records["addr"], records["pc"], records["kind"], records["gap"])
+        for addr, pc, kind, gap in _stream(fields, start, stop):
             block = addr >> bbits
             if kind <= 1:  # LOAD / STORE → L1D
                 d_acc += 1
@@ -525,8 +562,8 @@ class _PlanMachine:
             code_append(op)
             gw_append(gap / width)
             lat_append(latency)
-            if px_append is not None:
-                px_append(
+            if px_extend is not None:
+                px_extend(
                     (d_acc, d_hits, i_acc, i_hits, l2.demand_accesses, l2.demand_hits)
                 )
 
@@ -980,9 +1017,7 @@ def _specialized_hooks(policy: Any) -> _PolicyHooks | None:
     return None
 
 
-def _fold_records(
-    gws: list[float], lats: list[int], codes: list[int], lo: int, hi: int
-) -> list[tuple[float, int, int]]:
+def _fold_records(gw: np.ndarray, lat: np.ndarray, code: np.ndarray) -> _Records:
     """Merge runs of pure front-end records into their successor.
 
     A code-0 record (store, no pops, no LLC events) only advances
@@ -991,32 +1026,114 @@ def _fold_records(
     the next record's advance whenever that record reads ``cycle`` only
     *after* its own add — any event-free record qualifies. A record
     carrying LLC events reads ``int(cycle)`` *before* its add, so the
-    pending run is flushed as one standalone code-0 record instead.
-    Event order and every per-cell float value are preserved
-    bit-for-bit. Reads the parallel column slices directly so the plan
-    never has to materialize a full zipped record list just to fold it.
+    pending run is flushed as one standalone code-0 record instead, and
+    a trailing run becomes one code-0 record at the end. Event order and
+    every per-cell float value are preserved bit-for-bit.
+
+    One vectorized pass over the columns: each run's sum is a difference
+    of prefix sums over the code-0 advances, exact under the same
+    precondition that makes the fold itself exact.
     """
-    out: list[tuple[float, int, int]] = []
-    pending = 0.0
-    have = False
-    for gw, lat, code in zip(gws[lo:hi], lats[lo:hi], codes[lo:hi]):
-        if code == 0:
-            pending += gw
-            have = True
-            continue
-        if have:
-            if code >> _EV_SHIFT:
-                out.append((pending, 0, 0))
-                out.append((gw, lat, code))
-            else:
-                out.append((pending + gw, lat, code))
-            pending = 0.0
-            have = False
-        else:
-            out.append((gw, lat, code))
-    if have:
-        out.append((pending, 0, 0))
-    return out
+    keep = np.flatnonzero(code)
+    n_keep = len(keep)
+    # Prefix sums of the code-0 advances: the run pending before a kept
+    # record is the difference between its prefix and the previous kept
+    # record's; the trailing run is whatever follows the last one.
+    prefix = np.where(code == 0, gw, 0.0)
+    np.cumsum(prefix, out=prefix)
+    last = int(keep[-1]) if n_keep else -1
+    tail = last < len(code) - 1
+    trailing = prefix[-1] - (prefix[last] if n_keep else 0.0) if tail else 0.0
+    before = prefix[keep]
+    del prefix
+    before = np.diff(before, prepend=0.0)
+    has_run = np.diff(keep, prepend=-1) > 1
+    split = has_run & (code[keep] >> _EV_SHIFT != 0)
+    merge = has_run & ~split
+
+    # Kept record k lands after the flush records split off at or before it.
+    at = np.cumsum(split)
+    n_split = int(at[-1]) if n_keep else 0
+    at += np.arange(n_keep)
+    total = n_keep + n_split + int(tail)
+    out_gw = np.zeros(total)
+    out_lat = np.zeros(total, dtype=lat.dtype)
+    out_code = np.zeros(total, dtype=code.dtype)
+    out_gw[at] = gw[keep]
+    out_gw[at[merge]] += before[merge]
+    out_lat[at] = lat[keep]
+    out_code[at] = code[keep]
+    out_gw[at[split] - 1] = before[split]
+    if tail:
+        out_gw[-1] = trailing
+    return out_gw, out_lat, out_code
+
+
+class _EventColumns:
+    """The plan's LLC-visible events, one typed column per field.
+
+    Each event is a demand probe or an L2-victim writeback with every
+    policy-independent derivation precomputed once for all cells: the
+    LLC set index and the DRAM row/bank a demand miss would read.
+    :meth:`stream` rebuilds a range as the tuples the replay unpacks,
+    with a fresh :class:`~repro.policies.base.PolicyAccess` per event.
+    """
+
+    __slots__ = (
+        "demand", "block", "set_index", "row", "bank",
+        "isdata", "is_store", "kind", "pc",
+    )
+
+    def __init__(
+        self, machine: _PlanMachine, set_mask: int, block_bits: int,
+        row_bytes: int, nbanks: int,
+    ) -> None:
+        block = np.asarray(machine.ev_block)
+        kind = np.asarray(machine.ev_kind)
+        row = (block << block_bits) // row_bytes
+        self.demand = np.asarray(machine.ev_demand)
+        self.block = block
+        self.set_index = (block & set_mask).astype(np.int32)
+        self.row = row
+        self.bank = (row % nbanks).astype(np.int32)
+        self.isdata = np.asarray(machine.ev_isdata)
+        self.is_store = kind == 1
+        self.kind = kind
+        self.pc = np.asarray(machine.ev_pc)
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def stream(self, lo: int, hi: int) -> Callable[[], tuple]:
+        """A ``next`` over events ``[lo, hi)`` as ``(demand, block, set,
+        row, bank, isdata, is_store, kind, access)`` tuples.
+
+        Columns are converted :data:`_CHUNK` events at a time, and rows
+        are streamed, not stored: ``zip`` recycles its result tuple once
+        the caller has unpacked it, so each event allocates only its
+        ``PolicyAccess``, which dies with the event unless the policy
+        keeps it.
+        """
+        return chain.from_iterable(
+            self._rows(start, min(start + _CHUNK, hi))
+            for start in range(lo, hi, _CHUNK)
+        ).__next__
+
+    def _rows(self, lo: int, hi: int) -> Iterator[tuple]:
+        block = self.block[lo:hi].tolist()
+        kind = self.kind[lo:hi].tolist()
+        # tuple.__new__ builds each NamedTuple in C; calling PolicyAccess
+        # would run its generated Python __new__, several times slower.
+        access = map(
+            tuple.__new__, repeat(PolicyAccess),
+            zip(block, self.pc[lo:hi].tolist(), kind),
+        )
+        return zip(
+            self.demand[lo:hi].tolist(), block, self.set_index[lo:hi].tolist(),
+            self.row[lo:hi].tolist(), self.bank[lo:hi].tolist(),
+            self.isdata[lo:hi].tolist(), self.is_store[lo:hi].tolist(), kind,
+            access,
+        )
 
 
 class BatchPlan:
@@ -1056,95 +1173,78 @@ class BatchPlan:
             )
         machine = _PlanMachine(scratch)
         self.block_bits = machine.block_bits
+        # Events precompute LLC set indices and DRAM rows/banks for this
+        # geometry; run_cell() guards that each hierarchy matches it.
+        self.set_mask = scratch.llc._set_mask
+        self.row_bytes = scratch.dram.config.row_bytes
+        self.nbanks = len(scratch.dram._banks)
+        del scratch  # the machine holds flat copies of what the scan needs
 
-        gws: list[float] = []
-        lats: list[int] = []
-        codes: list[int] = []
+        gws = array("d")
+        lats = array("i")
+        codes = array("i")
         _, _, _, w_alive = machine.scan(
             trace, 0, self.warmup_end, core_cfg, gws, lats, codes, None
         )
         machine.reset_counters()
-        prefixes: list[tuple[int, int, int, int, int, int]] | None = (
-            [] if collect_prefixes else None
-        )
+        prefixes = array("q") if collect_prefixes else None
         m_loads, m_load_lat, m_instr, m_alive = machine.scan(
             trace, self.warmup_end, n, core_cfg, gws, lats, codes, prefixes
         )
+
+        # The scan's block -> slot lookups die with it; publishing the
+        # final state reads only the tag/dirty/stamp rows.
+        for lvl in (machine.l1i, machine.l1d, machine.l2):
+            lvl.index.clear()
 
         self.warmup_alive = w_alive
         self.measured_alive = m_alive
         self.measured_loads = m_loads
         self.measured_load_lat = m_load_lat
         self.measured_instructions = m_instr
-        # The full zipped record list and per-record event offsets exist
-        # only to let the chunked telemetry replay slice at interval
-        # boundaries; without a collector they are never read, and
-        # skipping them saves a multi-million-tuple allocation per plan.
-        self.recs: list[tuple[float, int, int]] | None = None
-        self.ev_offsets: list[int] | None = None
-        if collect_prefixes:
-            self.recs = list(zip(gws, lats, codes))
-            self.ev_offsets = list(
-                accumulate((c >> _EV_SHIFT for c in codes), initial=0)
-            )
-            self.measured_ec = self.ev_offsets[self.warmup_end]
-        else:
-            self.measured_ec = sum(
-                c >> _EV_SHIFT for c in codes[: self.warmup_end]
-            )
-        # Events carry every policy-independent derivation precomputed
-        # once and shared by all cells: the LLC set index, the DRAM
-        # row/bank a demand miss would read, and the PolicyAccess the
-        # hooks receive (an immutable NamedTuple, so one instance can
-        # serve every replay). run_cell() guards that each hierarchy
-        # matches this geometry.
-        self.set_mask = scratch.llc._set_mask
-        scratch_dram = scratch.dram.config
-        self.row_bytes = scratch_dram.row_bytes
-        self.nbanks = len(scratch.dram._banks)
-        blocks = np.array(machine.ev_block, dtype=np.int64)
-        kinds = np.array(machine.ev_kind, dtype=np.int64)
-        rows = (blocks << self.block_bits) // self.row_bytes
-        self.events: list[tuple] = list(
-            zip(
-                machine.ev_demand,
-                machine.ev_block,
-                (blocks & self.set_mask).tolist(),
-                rows.tolist(),
-                (rows % self.nbanks).tolist(),
-                machine.ev_isdata,
-                (kinds == 1).tolist(),
-                machine.ev_kind,
-                map(PolicyAccess, machine.ev_block, machine.ev_pc,
-                    machine.ev_kind),
-            )
+        # Zero-copy numpy views of the scan's buffers.
+        gw = np.asarray(gws)
+        lat = np.asarray(lats)
+        code = np.asarray(codes)
+        self.measured_ec = int((code[: self.warmup_end] >> _EV_SHIFT).sum())
+        self.events = _EventColumns(
+            machine, self.set_mask, self.block_bits, self.row_bytes, self.nbanks
         )
 
-        # Folded per-phase record lists for whole-phase replays, used
-        # when the cycle arithmetic is provably exact (power-of-two
-        # width, magnitudes far below 2**53: bounded by instructions
-        # plus a generous per-record latency allowance). Chunked
-        # telemetry replay keeps indexing the unfolded list — fold
-        # boundaries and interval boundaries would otherwise disagree.
+        # Per-phase record columns for whole-phase replays, folded when
+        # the cycle arithmetic is provably exact (power-of-two width,
+        # magnitudes far below 2**53: bounded by instructions plus a
+        # generous per-record latency allowance); otherwise views of the
+        # unfolded columns. The chunked telemetry replay slices the
+        # unfolded columns (``recs``) at interval boundaries, which fold
+        # boundaries would not respect; without a collector they are
+        # dropped once folded.
         width = core_cfg.dispatch_width
-        cycle_bound = (int(trace.gaps.sum()) + n * 4096) if n else 0
+        cycle_bound = (int(trace.records["gap"].sum()) + n * 4096) if n else 0
+        w = self.warmup_end
+        self.recs: _Records | None = (gw, lat, code) if collect_prefixes else None
+        self.warmup_recs: _Records
+        self.measured_recs: _Records
         if width & (width - 1) == 0 and cycle_bound < _EXACT_CYCLE_BOUND:
-            self.warmup_recs = _fold_records(gws, lats, codes, 0, self.warmup_end)
-            self.measured_recs = _fold_records(gws, lats, codes, self.warmup_end, n)
+            self.warmup_recs = _fold_records(gw[:w], lat[:w], code[:w])
+            self.measured_recs = _fold_records(gw[w:], lat[w:], code[w:])
         else:
-            if self.recs is None:
-                self.recs = list(zip(gws, lats, codes))
-            self.warmup_recs = self.recs[: self.warmup_end]
-            self.measured_recs = self.recs[self.warmup_end:]
+            self.warmup_recs = (gw[:w], lat[:w], code[:w])
+            self.measured_recs = (gw[w:], lat[w:], code[w:])
 
         self.levels = (machine.l1i, machine.l1d, machine.l2)
         self.final_clock = machine.clock
         self.measured_l1d_misses = machine.l1d_misses
         self.measured_served_l1 = machine.served_l1
         self.measured_served_l2 = machine.served_l2
-        self.prefixes = prefixes
+        # Upper-level demand counters after each measured record, one
+        # column per counter: (L1D accesses, hits, L1I accesses, hits,
+        # L2 accesses, hits).
+        self.prefixes: np.ndarray | None = (
+            np.asarray(prefixes).reshape(-1, 6) if prefixes is not None else None
+        )
         self.measured_cum: np.ndarray | None = (
-            np.cumsum(trace.gaps[self.warmup_end:n], dtype=np.int64)
+            np.cumsum(trace.records["gap"][self.warmup_end:n], dtype=np.int64)
             if collect_prefixes
             else None
         )
@@ -1156,22 +1256,24 @@ class BatchPlan:
         self,
         cell: _CellState,
         hierarchy: CacheHierarchy,
-        recs: list[tuple[float, int, int]],
+        recs: _Records,
         ec: int,
-    ) -> None:
-        """Drive one cell's LLC/DRAM/core over a precomputed record list.
+    ) -> int:
+        """Drive one cell's LLC/DRAM/core over precomputed record columns.
 
-        ``ec`` indexes the first LLC event the records consume. The hot
-        loop dispatches on the precomputed opcode: the three event-free
-        shapes (load+MSHR-pop, load with a free slot, store) are
-        inlined; everything else — ROB retirements, LLC events — takes
-        the general path. The LLC's generic bookkeeping (probe order,
-        statistics, dirty bits, victim mechanics) and the DRAM bank
-        timing are inlined around the real policy-hook calls, operating
-        on the live tag/dirty rows; counters accumulate in locals and
-        flush into the model objects on exit. With an LLC telemetry tap
-        attached the events route through
-        :meth:`~repro.mem.cache.Cache.access`/``fill`` instead
+        ``ec`` indexes the first LLC event the records consume; returns
+        the index after the last one. Records and events stream from
+        the plan's columns in chunks (:func:`_stream`,
+        :meth:`_EventColumns.stream`). The hot loop dispatches on the
+        precomputed opcode: the three event-free shapes (load+MSHR-pop,
+        load with a free slot, store) are inlined; everything else — ROB
+        retirements, LLC events — takes the general path. The LLC's
+        generic bookkeeping (probe order, statistics, dirty bits, victim
+        mechanics) and the DRAM bank timing are inlined around the real
+        policy-hook calls, operating on the live tag/dirty rows;
+        counters accumulate in locals and flush into the model objects
+        on exit. With an LLC telemetry tap attached the events route
+        through :meth:`~repro.mem.cache.Cache.access`/``fill`` instead
         (:meth:`_replay_tapped`) so the tap observes every operation.
         Float operations (``cycle += gap/width``, stall bumps to a
         completion cycle) execute in exactly the reference order, so
@@ -1179,11 +1281,11 @@ class BatchPlan:
         """
         llc = hierarchy.llc
         if llc._telemetry is not None:
-            self._replay_tapped(cell, hierarchy, recs, ec)
-            return
+            return self._replay_tapped(cell, hierarchy, recs, ec)
         dram = hierarchy.dram
         bbits = self.block_bits
-        events = self.events
+        next_ec = ec + int((recs[2] >> _EV_SHIFT).sum())
+        next_event = self.events.stream(ec, next_ec)
 
         # LLC checkout: the policy hooks receive the same live row lists
         # Cache.access/fill would hand them. Two derived structures make
@@ -1243,7 +1345,7 @@ class BatchPlan:
         served_dram = cell.served_dram
         l1d_md = cell.l1d_misses_to_dram
 
-        for gw, lat, code in recs:
+        for gw, lat, code in _stream(recs, 0, len(recs[2])):
             if code == 3:
                 # Load, one MSHR pop, no ROB pops, no LLC events — the
                 # steady state once the window is full.
@@ -1279,7 +1381,7 @@ class BatchPlan:
                     stop_ec = ec + ne
                     while ec < stop_ec:
                         (demand, blk, set_index, row, b,
-                         isdata, is_store, kind, acc) = events[ec]
+                         isdata, is_store, kind, acc) = next_event()
                         ec += 1
                         if demand:
                             way = resident_get(blk)
@@ -1480,14 +1582,15 @@ class BatchPlan:
         dstats.row_conflicts += s_rowconf
         dstats.row_closed += s_rowclosed
         dstats.total_read_latency += s_rdlat
+        return next_ec
 
     def _replay_tapped(
         self,
         cell: _CellState,
         hierarchy: CacheHierarchy,
-        recs: list[tuple[float, int, int]],
+        recs: _Records,
         ec: int,
-    ) -> None:
+    ) -> int:
         """Replay with LLC events through the regular cache methods.
 
         Used when a telemetry tap is armed on the LLC: the tap's
@@ -1502,7 +1605,8 @@ class BatchPlan:
         dram_read = dram.read
         dram_write = dram.write
         bbits = self.block_bits
-        events = self.events
+        next_ec = ec + int((recs[2] >> _EV_SHIFT).sum())
+        next_event = self.events.stream(ec, next_ec)
         ring = cell.ring
         ring_n = len(ring)
         rh = cell.rh
@@ -1515,7 +1619,7 @@ class BatchPlan:
         served_dram = cell.served_dram
         l1d_md = cell.l1d_misses_to_dram
 
-        for gw, lat, code in recs:
+        for gw, lat, code in _stream(recs, 0, len(recs[2])):
             if code == 3:
                 cycle += gw
                 done = ring[rh]
@@ -1544,7 +1648,7 @@ class BatchPlan:
                     base = lat
                     stop_ec = ec + ne
                     while ec < stop_ec:
-                        demand, blk, _, _, _, isdata, _, kind, acc = events[ec]
+                        demand, blk, _, _, _, isdata, _, kind, acc = next_event()
                         ec += 1
                         if demand:
                             if llc_access(blk, acc.pc, kind).hit:
@@ -1601,6 +1705,7 @@ class BatchPlan:
         cell.served_llc = served_llc
         cell.served_dram = served_dram
         cell.l1d_misses_to_dram = l1d_md
+        return next_ec
 
     def drain(self, cell: _CellState, alive: int) -> float:
         """Replay :meth:`CoreModel.drain`: wait for ``alive`` loads."""
@@ -1757,9 +1862,10 @@ class BatchSimulator:
         Same searchsorted chunking over the measured gap prefix sums, so
         interval boundaries land on identical records; the upper levels'
         demand counters at each boundary come from the plan's prefix
-        snapshots (the only upper-level values the collector reads).
-        Chunks index the unfolded record list — fold boundaries and
-        interval boundaries would otherwise disagree.
+        columns (the only upper-level values the collector reads).
+        Intervals slice the unfolded record columns — fold boundaries and
+        interval boundaries would otherwise disagree — and each replay
+        call reads its interval in :data:`_CHUNK`-record chunks.
         """
         plan = self.plan
         boundary = collector.begin(core)
@@ -1769,29 +1875,29 @@ class BatchSimulator:
             return
         cum = plan.measured_cum
         prefixes = plan.prefixes
-        recs = plan.recs
-        ev_offsets = plan.ev_offsets
-        assert cum is not None and prefixes is not None
-        assert recs is not None and ev_offsets is not None
+        assert cum is not None and prefixes is not None and plan.recs is not None
+        gw, lat, code = plan.recs
         l1i_stats = hierarchy.l1i.stats
         l1d_stats = hierarchy.l1d.stats
         l2_stats = hierarchy.l2.stats
+        ec = plan.measured_ec
         pos = 0
         while pos < n:
             crossing = int(np.searchsorted(cum, boundary, side="left"))
             chunk_end = crossing + 1 if crossing < n else n
-            plan.replay(
-                cell,
-                hierarchy,
-                recs[start + pos:start + chunk_end],
-                ev_offsets[start + pos],
+            lo = start + pos
+            hi = start + chunk_end
+            ec = plan.replay(
+                cell, hierarchy, (gw[lo:hi], lat[lo:hi], code[lo:hi]), ec
             )
             pos = chunk_end
             instr = int(cum[pos - 1])
             core._instr = instr
             core._cycle = cell.cycle
             if instr >= boundary:
-                d_acc, d_hits, i_acc, i_hits, l2_acc, l2_hits = prefixes[pos - 1]
+                d_acc, d_hits, i_acc, i_hits, l2_acc, l2_hits = (
+                    prefixes[pos - 1].tolist()
+                )
                 l1d_stats.demand_accesses = d_acc
                 l1d_stats.demand_hits = d_hits
                 l1i_stats.demand_accesses = i_acc

@@ -273,6 +273,68 @@ class TestGracefulShutdown:
         assert len(outcome.matrix.results) == 2
 
 
+def canonical_results(outcome) -> dict:
+    return {
+        (workload, policy): json.dumps(result.to_json_dict(), sort_keys=True)
+        for workload, row in outcome.matrix.results.items()
+        for policy, result in row.items()
+    }
+
+
+class TestBatchedShutdown:
+    POLICIES = ["lru", "srrip", "ship"]
+
+    def test_serial_batched_sweep_stops_after_first_group(
+            self, tmp_path, traces, monkeypatch):
+        import repro.harness.engine as eng
+
+        baseline = SweepEngine(jobs=1).run(
+            traces, self.POLICIES, config=tiny_config(), engine="batched")
+        shutdown = ShutdownCoordinator()
+        real = eng._simulate_group
+        groups = []
+
+        def first_group_then_shutdown(*args, **kwargs):
+            groups.append(args[0])
+            shutdown.request("SIGTERM")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(eng, "_simulate_group", first_group_then_shutdown)
+        engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=1,
+                             journal_dir=tmp_path / "journal")
+        with pytest.raises(SweepInterrupted) as excinfo:
+            engine.run(traces, self.POLICIES, config=tiny_config(),
+                       engine="batched", shutdown=shutdown)
+        assert len(groups) == 1
+        assert excinfo.value.run_id is not None
+        assert "3/6" in str(excinfo.value)
+
+        monkeypatch.setattr(eng, "_simulate_group", real)
+        resumed = engine.run(traces, self.POLICIES, config=tiny_config(),
+                             engine="batched")
+        assert resumed.stats.resumed == 3
+        assert canonical_results(resumed) == canonical_results(baseline)
+
+    def test_pool_batched_sweep_cancels_queued_groups(self, tmp_path):
+        many = {
+            f"t{seed}": synthetic.zipf_reuse(3000, num_blocks=300, seed=seed)
+            for seed in range(8)
+        }
+        baseline = SweepEngine(jobs=1).run(
+            many, self.POLICIES, config=tiny_config(), engine="batched")
+        shutdown = ShutdownCoordinator()
+        shutdown.request("SIGTERM")
+        engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=2,
+                             journal_dir=tmp_path / "journal")
+        with pytest.raises(SweepInterrupted):
+            engine.run(many, self.POLICIES, config=tiny_config(),
+                       engine="batched", shutdown=shutdown, drain_timeout=30.0)
+        resumed = engine.run(many, self.POLICIES, config=tiny_config(),
+                             engine="batched")
+        assert resumed.stats.cells == 24
+        assert canonical_results(resumed) == canonical_results(baseline)
+
+
 class TestSerialInterruptRegression:
     def test_keyboard_interrupt_flushes_journal_and_report(
             self, tmp_path, traces, monkeypatch):
@@ -459,6 +521,23 @@ class TestMemoryGovernance:
         assert len(outcome.errors) == 2
         assert all(e.classification == "poison"
                    for e in outcome.errors.values())
+
+
+    def test_batched_groups_run_under_the_budget(self):
+        # Long enough that the watchdog's first sample lands while a
+        # group (and then each per-cell rerun) is still running.
+        big = {
+            "a": synthetic.zipf_reuse(20_000, num_blocks=500, seed=1),
+            "b": synthetic.zipf_reuse(20_000, num_blocks=500, seed=2),
+        }
+        outcome = SweepEngine(jobs=1).run(
+            big, ["lru", "srrip"], config=tiny_config(), engine="batched",
+            isolate_failures=True, memory_budget_mb=1.0)
+        assert not outcome.matrix.results
+        assert len(outcome.errors) == 4
+        for error in outcome.errors.values():
+            assert error.error_type == "MemoryBudgetError"
+            assert error.classification == "poison"
 
 
 class TestVerifyReport:

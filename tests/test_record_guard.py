@@ -162,6 +162,11 @@ class TestRecorderIntegration:
         code = rec.main(["--suites", "gap", "--output", str(output)])
         assert code == 2
 
-    def test_trajectory_recorder_shape_ignores_jobs(self):
+    def test_trajectory_recorder_shape_ignores_jobs(self, monkeypatch):
         rec = _load("record_trajectory")
+        # The shape only counts traces and policies; placeholders stand in
+        # for the smoke matrix, whose traces take most of a minute to build.
+        traces = {name: object() for name in ("gap.bfs", "spec06.mcf", "spec17.lbm")}
+        policies = ["lru", "srrip", "hawkeye"]
+        monkeypatch.setattr(rec, "_smoke_matrix", lambda: (dict(traces), list(policies)))
         assert rec.expected_shape(1) == rec.expected_shape(8)
