@@ -621,12 +621,13 @@ def main(argv: list[str] | None = None) -> int:
                          help="disable the on-disk result cache")
     p_sweep.add_argument("--sanitize", action="store_true",
                          help="arm runtime invariant checks on every cache level")
-    p_sweep.add_argument("--engine", default="fast",
+    p_sweep.add_argument("--engine", default="batched",
                          choices=("fast", "reference", "batched"),
                          help="simulation engine for uncached cells: "
                               "'batched' shares one decoded access stream "
-                              "across all eligible policies per workload "
-                              "(default: fast; all bit-identical)")
+                              "across all eligible policies per workload, "
+                              "'fast' and 'reference' run one cell at a "
+                              "time (default: batched; all bit-identical)")
     p_sweep.add_argument("--sampling", metavar="SPEC", default=None,
                          help="run cells under representative-interval "
                               "sampling; SPEC is 'default' or "
@@ -645,8 +646,7 @@ def main(argv: list[str] | None = None) -> int:
                               "and restarts at the first incomplete cell")
     p_sweep.add_argument("--failure-report", metavar="PATH", default=None,
                          help="write the failure report JSON here (default: "
-                              "<run_id>-failures.json next to the journal "
-                              "when resilience is armed)")
+                              "<run_id>-failures.json next to the journal)")
     p_sweep.add_argument("--memory-budget-mb", type=float, default=None,
                          metavar="MB",
                          help="per-worker RSS budget; cells that exceed it "
@@ -692,8 +692,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sample.add_argument("--spec", default="default",
                           help="sampling spec: 'default' or "
                                "'k=4,window=0,warm=1,seed=0,reduction=12,"
-                               "synthesis=recency|replay|checkpoint,"
-                               "replay=4'")
+                               "synthesis=recency|checkpoint'")
     p_sample.add_argument("--window", type=int, default=200_000,
                           help="traced accesses (default 200k)")
     p_sample.add_argument("--validate", action="store_true",

@@ -4,8 +4,11 @@ Every paper artifact funnels through a (workload x policy) sweep whose
 cells are independent, deterministic simulations — embarrassingly
 parallel and perfectly cacheable. :class:`SweepEngine` exploits both:
 
-* **Parallelism** — cells fan out over a ``ProcessPoolExecutor``
-  (``jobs`` workers); results are reassembled in deterministic
+* **Parallelism** — cells (or, under ``engine="batched"``, one batch
+  group per workload) run as work units of the
+  :class:`~repro.resilience.executor.ResilientExecutor`, the one
+  execution loop, in process or over a ``ProcessPoolExecutor`` of
+  ``jobs`` workers; results are reassembled in deterministic
   (workload, policy) order, so a parallel sweep is bit-identical to a
   serial one.
 * **Caching** — a content-addressed on-disk :class:`ResultCache` keyed
@@ -32,13 +35,13 @@ import hashlib
 import json
 import os
 import shutil
-import time
+import signal
 import traceback as traceback_module
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, cast
 
 from ..core.config import MachineConfig, cascade_lake
 from ..core.results import RESULT_SCHEMA_VERSION, SimulationResult
@@ -46,7 +49,6 @@ from ..core.simulator import DEFAULT_WARMUP_FRACTION, simulate
 from ..errors import (
     CacheIntegrityError,
     ConfigurationError,
-    MemoryBudgetError,
     SimulationError,
     SweepInterrupted,
 )
@@ -61,8 +63,8 @@ from ..resilience.durability import (
     sweep_spec_doc,
     write_failure_report,
 )
-from ..resilience.executor import ResilientExecutor
-from ..resilience.policy import FailureKind, RetryPolicy
+from ..resilience.executor import ResilientExecutor, WorkUnit
+from ..resilience.policy import NO_RETRY, FailureKind, RetryPolicy
 from ..resilience.report import FailureReport
 from ..sampling.spec import SamplingSpec
 from ..telemetry.collector import TelemetryConfig
@@ -256,7 +258,7 @@ class CellError:
     message: str
     traceback: str = ""
     #: Failure-taxonomy bucket (:class:`repro.resilience.FailureKind`
-    #: value); "deterministic" for non-resilient sweeps.
+    #: value) the executor assigned when it abandoned the cell.
     classification: str = "deterministic"
 
     def render(self) -> str:
@@ -288,9 +290,9 @@ class SweepOutcome:
     matrix: RunMatrix
     errors: dict[tuple[str, str], CellError] = field(default_factory=dict)
     stats: SweepStats = field(default_factory=SweepStats)
-    #: Per-attempt accounting of everything the resilience layer
-    #: absorbed; ``None`` for sweeps run without a retry policy.
-    failure_report: "FailureReport | None" = None
+    #: Per-attempt accounting of every failure the executor absorbed
+    #: (empty when nothing failed).
+    failure_report: FailureReport = field(default_factory=FailureReport)
     #: Identity of the run journal this sweep wrote (``repro sweep
     #: --resume <run_id>``); ``None`` for journal-less sweeps.
     run_id: str | None = None
@@ -567,12 +569,17 @@ class ResultCache:
             self._disable(exc)
 
     def _entry_files(self) -> list[Path]:
-        """Live entry files (quarantined entries are not entries)."""
+        """Live entry files, at ``<salt>/<key[:2]>/<key>.json``.
+
+        Quarantined entries are not entries, and neither is other JSON
+        that shares the root (a run journal's failure reports when the
+        journal directory sits inside the cache root).
+        """
         if not self.root.is_dir():
             return []
         return [
             p
-            for p in self.root.rglob("*.json")
+            for p in self.root.glob("*/*/*.json")
             if p.is_file()
             and p.relative_to(self.root).parts[0] != QUARANTINE_DIR
         ]
@@ -715,7 +722,7 @@ _WORKER_TRACES: dict[str, Trace] = {}
 
 
 def _install_worker_traces(traces: dict[str, Trace]) -> None:
-    """Pool initializer: materialize the sweep's traces in this worker.
+    """Materialize the sweep's traces in this worker (see :func:`_init_worker`).
 
     Runs once per worker process, so each trace crosses the process
     boundary at most once per worker instead of once per (cell ×
@@ -724,6 +731,21 @@ def _install_worker_traces(traces: dict[str, Trace]) -> None:
     """
     _WORKER_TRACES.clear()
     _WORKER_TRACES.update(traces)
+
+
+def _init_worker(traces: dict[str, Trace]) -> None:
+    """Pool initializer: default signal handling, then the trace registry.
+
+    Forked workers inherit the parent's signal handlers — under ``repro
+    sweep`` the :class:`ShutdownCoordinator`'s, which turn SIGTERM into
+    a flag. A worker restores the default SIGTERM action, so the
+    watchdog's ``terminate()`` really stops a hung worker, and ignores
+    SIGINT, so a terminal Ctrl-C reaches only the parent, which drains
+    the workers.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _install_worker_traces(traces)
 
 
 def _simulate_cell_by_name(
@@ -750,17 +772,6 @@ def _simulate_cell_by_name(
     )
 
 
-def _pending_traces(
-    pending: list[tuple[str, str]], traces: dict[str, Trace]
-) -> dict[str, Trace]:
-    """The subset of traces the pending cells actually reference."""
-    needed: dict[str, Trace] = {}
-    for workload, _ in pending:
-        if workload not in needed:
-            needed[workload] = traces[workload]
-    return needed
-
-
 def _simulate_group(
     workload: str,
     policies: list[str],
@@ -769,16 +780,16 @@ def _simulate_group(
     warmup_fraction: float,
     telemetry: TelemetryConfig | None = None,
     memory_budget_mb: float | None = None,
-) -> tuple[str, list[tuple[str, bool, SimulationResult | None]]]:
+) -> list[tuple[str, bool, object]]:
     """Worker entry point: one trace's cells through a shared batch plan.
 
     Builds one :class:`~repro.mem.batch.BatchPlan` and replays every
-    batch-eligible policy against it. Returns per-policy outcomes as
-    ``(policy, completed, result)``; cells that are not batch-eligible,
-    or whose batched attempt raised, come back ``completed=False`` so
-    the engine can route them through the ordinary per-cell machinery
-    (with its own failure classification and retry semantics) instead of
-    failing the whole group.
+    batch-eligible policy against it. Returns one ``(policy, completed,
+    payload)`` outcome per policy: the cell's result when ``completed``;
+    otherwise the exception its replay (or the shared plan) raised, or
+    ``None`` for a policy that is not batch-eligible. The executor
+    records the exceptions and runs every incomplete cell through the
+    per-cell path, with its own failure classification and retries.
 
     ``memory_budget_mb`` arms the same RSS watchdog as
     :func:`_simulate_cell` around the whole group: a breach raises
@@ -791,31 +802,28 @@ def _simulate_group(
 
     with memory_guard(memory_budget_mb):
         sim: BatchSimulator | None = None
-        plan_failed = False
-        outcomes: list[tuple[str, bool, SimulationResult | None]] = []
+        plan_error: Exception | None = None
+        outcomes: list[tuple[str, bool, object]] = []
         for policy in policies:
             try:
                 hierarchy = build_hierarchy(config, policy)
-                if plan_failed or not batch_eligible(hierarchy, trace):
+                if not batch_eligible(hierarchy, trace):
                     outcomes.append((policy, False, None))
                     continue
-                if sim is None:
+                if sim is None and plan_error is None:
                     try:
                         sim = BatchSimulator(trace, config, warmup_fraction, telemetry)
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception:
-                        # Plan construction is shared state: if it fails once
-                        # it fails for every policy, so stop re-attempting.
-                        plan_failed = True
-                        outcomes.append((policy, False, None))
-                        continue
+                    except Exception as exc:
+                        # The plan is shared state: once it fails it fails
+                        # for every policy, so it is not attempted again.
+                        plan_error = exc
+                if sim is None:
+                    outcomes.append((policy, False, plan_error))
+                    continue
                 outcomes.append((policy, True, sim.run_cell(policy, hierarchy)))
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                outcomes.append((policy, False, None))
-        return workload, outcomes
+            except Exception as exc:
+                outcomes.append((policy, False, exc))
+        return outcomes
 
 
 def _simulate_group_by_name(
@@ -825,7 +833,7 @@ def _simulate_group_by_name(
     warmup_fraction: float,
     telemetry: TelemetryConfig | None = None,
     memory_budget_mb: float | None = None,
-) -> tuple[str, list[tuple[str, bool, SimulationResult | None]]]:
+) -> list[tuple[str, bool, object]]:
     """Group worker entry resolving the trace from the worker registry."""
     trace = _WORKER_TRACES.get(workload)
     if trace is None:
@@ -928,35 +936,44 @@ class SweepEngine:
         """Run every (trace, policy) cell and assemble a :class:`RunMatrix`.
 
         Cells present in the cache are loaded without simulating; the
-        rest run serially or across ``jobs`` worker processes. Cell
-        results land in the matrix in deterministic (workload, policy)
-        order regardless of completion order. With ``isolate_failures``
-        a failing cell becomes a :class:`CellError` in the outcome and
-        the rest of the sweep completes; otherwise the first failure
+        rest become work units of one
+        :class:`~repro.resilience.executor.ResilientExecutor`, run in
+        process or across ``jobs`` worker processes. Cell results land
+        in the matrix in deterministic (workload, policy) order
+        regardless of completion order. With ``isolate_failures`` a
+        failing cell becomes a :class:`CellError` in the outcome and the
+        rest of the sweep completes; otherwise the first failure
         propagates (completed cells are already checkpointed, so a rerun
         resumes past them). ``telemetry`` arms interval-resolved
         observability (:mod:`repro.telemetry`) on every cell; the
         configuration is part of each cell's cache key, so telemetry-
         armed results never collide with plain ones.
 
-        ``retry`` arms the resilience layer (:mod:`repro.resilience`):
-        transient failures are retried with deterministic backoff, a
-        ``cell_timeout`` is enforced by a watchdog, worker-pool deaths
-        are recovered, and every absorbed failure lands in the outcome's
-        :class:`~repro.resilience.report.FailureReport`. A timeout (or a
-        ``chaos`` plan) forces pool execution even at ``jobs=1``, since
-        a hung in-process cell cannot be aborted. ``chaos`` injects
-        faults from a seeded schedule (see
+        ``retry`` sets how hard the executor fights for each cell:
+        transient failures are retried with deterministic backoff and a
+        ``cell_timeout`` is enforced by a watchdog. ``retry=None`` means
+        :data:`~repro.resilience.policy.NO_RETRY`: one attempt, and the
+        first worker death or memory-budget breach makes a cell poison.
+        Either way failures are classified by
+        :func:`~repro.resilience.policy.classify_failure`, worker-pool
+        deaths are recovered, and every absorbed failure lands in the
+        outcome's :class:`~repro.resilience.report.FailureReport`. A
+        timeout (or a ``chaos`` plan) forces pool execution even at
+        ``jobs=1``, since a hung in-process cell cannot be aborted.
+        ``chaos`` injects faults from a seeded schedule (see
         :mod:`repro.resilience.chaos`); neither knob affects cell cache
         keys because neither changes what a *successful* cell computes.
 
         ``engine`` selects the simulation engine for uncached cells:
-        ``"fast"`` (default) and ``"reference"`` run per cell;
-        ``"batched"`` (:mod:`repro.mem.batch`) groups cells by workload
-        and replays every batch-eligible policy against one shared
-        access-stream plan, falling back to the ordinary per-cell path
-        for ineligible or failed cells. All three are bit-identical, so
-        the engine choice is deliberately *not* part of the cache key.
+        ``"fast"`` (default) and ``"reference"`` submit one unit per
+        cell; ``"batched"`` (:mod:`repro.mem.batch`) submits one group
+        unit per workload, which replays every batch-eligible policy
+        against one shared access-stream plan. Cells a group does not
+        complete (ineligible, failed, or the whole group failed or timed
+        out) rejoin the same executor queue as per-cell ``"fast"``
+        units; group failures are recorded as attempt ``0`` of each
+        affected cell. All three engines are bit-identical, so the
+        engine choice is deliberately *not* part of the cache key.
 
         ``sampling`` runs every cell under representative-interval
         sampling (:mod:`repro.sampling`); the spec *is* part of the
@@ -986,9 +1003,9 @@ class SweepEngine:
         halts, in-flight cells drain for at most ``drain_timeout``
         seconds, the journal and failure report flush, and the sweep
         raises :class:`~repro.errors.SweepInterrupted` naming the run id
-        to resume from. ``failure_report_path`` persists the
-        schema-versioned failure-report JSON there (default, when
-        journaled: next to the journal) — including on interrupts, so a
+        to resume from. The failure report is persisted as
+        schema-versioned JSON to ``failure_report_path``, or next to the
+        journal when none is given — including on interrupts, so a
         partial sweep still leaves complete accounting behind.
         """
         if engine not in ("fast", "reference", "batched"):
@@ -1073,7 +1090,13 @@ class SweepEngine:
         if journal is not None:
             journal.flush()
 
-        def record(workload: str, policy: str, result: SimulationResult) -> None:
+        def record(workload: str, policy: str, payload: object) -> None:
+            # A cell unit returns (workload, policy, result); a batch
+            # group hands over each completed cell's bare result.
+            result = cast(
+                SimulationResult,
+                payload[2] if isinstance(payload, tuple) else payload,
+            )
             resolved[(workload, policy)] = result
             stats.simulated += 1
             key = None
@@ -1087,19 +1110,12 @@ class SweepEngine:
                 journal.record_cell(workload, policy, CELL_OK, key=key)
 
         def record_failure(
-            workload: str,
-            policy: str,
-            exc: BaseException,
-            classification: str = FailureKind.DETERMINISTIC.value,
+            workload: str, policy: str, exc: BaseException, kind: FailureKind
         ) -> None:
             if journal is not None:
-                status = (
-                    CELL_POISONED
-                    if classification == FailureKind.POISON.value
-                    else CELL_FAILED
-                )
+                status = CELL_POISONED if kind is FailureKind.POISON else CELL_FAILED
                 journal.record_cell(
-                    workload, policy, status, classification=classification
+                    workload, policy, status, classification=kind.value
                 )
             if not isolate_failures:
                 raise exc
@@ -1112,76 +1128,39 @@ class SweepEngine:
                 traceback="".join(
                     traceback_module.format_exception(type(exc), exc, exc.__traceback__)
                 ),
-                classification=classification,
+                classification=kind.value,
             )
 
-        cell_engine = "fast" if engine == "batched" else engine
-        failure_report = (
-            FailureReport() if retry is not None or chaos is not None else None
+        # Batch groups skip sanitize, chaos and sampling: the sanitizer
+        # and chaos hook the per-cell path, and a batch plan replays
+        # every access by construction.
+        if (
+            engine == "batched" and not sanitize
+            and chaos is None and sampling is None
+        ):
+            groups: dict[str, list[str]] = {}
+            for workload, policy in pending:
+                groups.setdefault(workload, []).append(policy)
+            units = [WorkUnit(w, tuple(ps), group=True) for w, ps in groups.items()]
+        else:
+            units = [WorkUnit(workload, (policy,)) for workload, policy in pending]
+        # Cache reads (the only place entries are quarantined) are done.
+        failure_report = FailureReport(
+            quarantined_cache_entries=(
+                self.cache.quarantined_count - quarantined_before
+                if self.cache is not None
+                else 0
+            )
         )
         finished = False
         try:
-            # Batched execution runs first and only handles what it can:
-            # eligible cells complete through shared per-trace plans, the
-            # rest fall through to the ordinary per-cell machinery below
-            # (which preserves retry classification, chaos injection and
-            # sanitizer semantics the batch path deliberately excludes).
-            if (
-                engine == "batched" and pending and not sanitize
-                and chaos is None and sampling is None
-            ):
-                pending = self._run_batched(
-                    pending, traces, config, warmup_fraction, telemetry, record,
-                    memory_budget_mb, shutdown, drain_timeout,
-                )
-                if shutdown is not None and shutdown.requested:
-                    # Drained groups are recorded; everything else is
-                    # left to a resume rather than run per cell now.
-                    pending = []
-
-            if failure_report is not None:
-                self._run_resilient(
-                    pending, traces, config, warmup_fraction, sanitize,
-                    telemetry,
-                    retry if retry is not None else RetryPolicy(),
-                    chaos, record, record_failure, cell_engine, sampling,
-                    failure_report, memory_budget_mb, shutdown, drain_timeout,
-                )
-                if self.cache is not None:
-                    failure_report.quarantined_cache_entries = (
-                        self.cache.quarantined_count - quarantined_before
-                    )
-            elif self.jobs > 1 and len(pending) > 1:
-                self._run_parallel(
-                    pending, traces, config, warmup_fraction, sanitize,
-                    telemetry, record, record_failure, cell_engine, sampling,
-                    memory_budget_mb, shutdown, drain_timeout,
-                )
-            else:
-                for workload, policy in pending:
-                    if shutdown is not None and shutdown.requested:
-                        break  # stop submitting; drained cells are recorded
-                    try:
-                        _, _, result = _simulate_cell(
-                            workload, policy, traces[workload], config,
-                            warmup_fraction, sanitize, telemetry, cell_engine,
-                            sampling, memory_budget_mb,
-                        )
-                    except (KeyboardInterrupt, SystemExit):
-                        raise  # never swallowed into a CellError
-                    except (MemoryError, MemoryBudgetError) as exc:
-                        # Poison: an OOM-ing (or budget-blowing) cell will
-                        # do it again; without a retry policy there is no
-                        # strike ladder, so isolate it outright.
-                        record_failure(
-                            workload, policy, exc,
-                            classification=FailureKind.POISON.value,
-                        )
-                    except Exception as exc:
-                        record_failure(workload, policy, exc)
-                    else:
-                        record(workload, policy, result)
-
+            self._execute(
+                units, traces, config, warmup_fraction, sanitize, telemetry,
+                retry if retry is not None else NO_RETRY, chaos,
+                record, record_failure,
+                "fast" if engine == "batched" else engine, sampling,
+                failure_report, memory_budget_mb, shutdown, drain_timeout,
+            )
             if (
                 shutdown is not None
                 and shutdown.requested
@@ -1209,22 +1188,21 @@ class SweepEngine:
                     complete=finished
                     and len(resolved) + len(errors) == len(cells)
                 )
-            if failure_report is not None:
-                report_target = failure_report_path
-                if report_target is None and journal is not None:
-                    report_target = journal.failure_report_path
-                if report_target is not None:
-                    try:
-                        write_failure_report(
-                            report_target, failure_report.to_json_dict()
-                        )
-                    except OSError as exc:
-                        warnings.warn(
-                            f"could not persist the failure report to "
-                            f"{report_target} ({exc})",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+            report_target = failure_report_path
+            if report_target is None and journal is not None:
+                report_target = journal.failure_report_path
+            if report_target is not None:
+                try:
+                    write_failure_report(
+                        report_target, failure_report.to_json_dict()
+                    )
+                except OSError as exc:
+                    warnings.warn(
+                        f"could not persist the failure report to "
+                        f"{report_target} ({exc})",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
 
         matrix = RunMatrix(config=config)
         for workload in traces:
@@ -1242,9 +1220,9 @@ class SweepEngine:
             journal_path=journal.path if journal is not None else None,
         )
 
-    def _run_resilient(
+    def _execute(
         self,
-        pending: list[tuple[str, str]],
+        units: list[WorkUnit],
         traces: dict[str, Trace],
         config: MachineConfig,
         warmup_fraction: float,
@@ -1252,73 +1230,70 @@ class SweepEngine:
         telemetry: TelemetryConfig | None,
         retry: RetryPolicy,
         chaos: "ChaosPlan | None",
-        record: Callable[[str, str, SimulationResult], None],
-        record_failure: Callable[..., None],
-        engine: str = "fast",
-        sampling: SamplingSpec | None = None,
-        report: FailureReport | None = None,
-        memory_budget_mb: float | None = None,
-        shutdown: ShutdownCoordinator | None = None,
-        drain_timeout: float = 30.0,
-    ) -> FailureReport:
-        """Run pending cells through the fault-tolerant executor.
+        on_success: Callable[[str, str, object], None],
+        on_failure: Callable[[str, str, BaseException, FailureKind], None],
+        engine: str,
+        sampling: SamplingSpec | None,
+        report: FailureReport,
+        memory_budget_mb: float | None,
+        shutdown: ShutdownCoordinator | None,
+        drain_timeout: float,
+    ) -> None:
+        """Run the work units through the :class:`ResilientExecutor`.
 
-        The watchdog and chaos injection both need cells in worker
-        processes (a hung or crashing in-process cell takes the sweep
-        with it), so either forces the pool path even at ``jobs=1``.
-        ``report`` is filled in place (the engine passes its own so the
-        partial report survives an interrupt mid-run).
+        Units run in-process unless there is more than one and ``jobs``
+        allows a pool. The watchdog and chaos injection both need units
+        in worker processes (a hung or crashing in-process cell takes
+        the sweep with it), so either forces the pool even at
+        ``jobs=1``. ``report`` is filled in place (the engine passes its
+        own so the partial report survives an interrupt mid-run).
         """
-        if report is None:
-            report = FailureReport()
-        use_pool = (
-            self.jobs > 1 or retry.cell_timeout is not None or chaos is not None
-        )
+        from ..resilience.chaos import _chaos_simulate_cell
 
-        if chaos is not None:
-            from ..resilience.chaos import _chaos_simulate_cell
-
-            def submit(pool, workload: str, policy: str, attempt: int):  # noqa: ARG001
+        def submit(pool: ProcessPoolExecutor, unit: WorkUnit, attempt: int) -> Future:
+            # Traces live in the worker-side registry (installed by the
+            # pool initializer below); submit names only. Chaos cells
+            # carry their trace, as the fault plan wraps the whole call.
+            if unit.group:
                 return pool.submit(
-                    _chaos_simulate_cell, chaos, workload, policy,
-                    traces[workload], config, warmup_fraction, sanitize,
+                    _simulate_group_by_name, unit.workload, list(unit.policies),
+                    config, warmup_fraction, telemetry, memory_budget_mb,
+                )
+            if chaos is not None:
+                return pool.submit(
+                    _chaos_simulate_cell, chaos, unit.workload, unit.policies[0],
+                    traces[unit.workload], config, warmup_fraction, sanitize,
                     telemetry, memory_budget_mb,
                 )
-        else:
-            def submit(pool, workload: str, policy: str, attempt: int):  # noqa: ARG001
-                # Traces live in the worker-side registry (installed by
-                # the pool initializer below); submit names only.
-                return pool.submit(
-                    _simulate_cell_by_name, workload, policy,
-                    config, warmup_fraction, sanitize, telemetry, engine,
-                    sampling, memory_budget_mb,
-                )
-
-        def run_inline(workload: str, policy: str, attempt: int):  # noqa: ARG001
-            return _simulate_cell(
-                workload, policy, traces[workload], config, warmup_fraction,
-                sanitize, telemetry, engine, sampling, memory_budget_mb,
+            return pool.submit(
+                _simulate_cell_by_name, unit.workload, unit.policies[0],
+                config, warmup_fraction, sanitize, telemetry, engine,
+                sampling, memory_budget_mb,
             )
 
-        def on_success(workload: str, policy: str, payload: object) -> None:
-            _, _, result = payload  # type: ignore[misc]
-            record(workload, policy, result)
+        def run_inline(unit: WorkUnit, attempt: int) -> object:
+            if unit.group:
+                return _simulate_group(
+                    unit.workload, list(unit.policies), traces[unit.workload],
+                    config, warmup_fraction, telemetry, memory_budget_mb,
+                )
+            return _simulate_cell(
+                unit.workload, unit.policies[0], traces[unit.workload], config,
+                warmup_fraction, sanitize, telemetry, engine, sampling,
+                memory_budget_mb,
+            )
 
-        def on_failure(
-            workload: str, policy: str, exc: BaseException, kind: FailureKind
-        ) -> None:
-            record_failure(workload, policy, exc, classification=kind.value)
-
-        workers = min(self.jobs, len(pending)) or 1
+        workers = min(self.jobs, len(units)) or 1
 
         def pool_factory() -> ProcessPoolExecutor:
             # Every pool generation (including watchdog rebuilds) gets
-            # the trace registry, so by-name submission keeps working
-            # after a pool recycle.
+            # the trace registry, so by-name submission — of groups and
+            # of the cells they hand back — keeps working after a
+            # recycle.
             return ProcessPoolExecutor(
                 max_workers=workers,
-                initializer=_install_worker_traces,
-                initargs=(_pending_traces(pending, traces),),
+                initializer=_init_worker,
+                initargs=({unit.workload: traces[unit.workload] for unit in units},),
             )
 
         executor = ResilientExecutor(
@@ -1333,226 +1308,7 @@ class SweepEngine:
             shutdown=shutdown,
             drain_timeout=drain_timeout,
         )
-        if use_pool and pending:
-            executor.run_pool(pending)
+        if retry.cell_timeout is not None or chaos is not None or workers > 1:
+            executor.run_pool(units)
         else:
-            executor.run_serial(pending)
-        return report
-
-    def _run_parallel(
-        self,
-        pending: list[tuple[str, str]],
-        traces: dict[str, Trace],
-        config: MachineConfig,
-        warmup_fraction: float,
-        sanitize: bool,
-        telemetry: TelemetryConfig | None,
-        record: Callable[[str, str, SimulationResult], None],
-        record_failure: Callable[..., None],
-        engine: str = "fast",
-        sampling: SamplingSpec | None = None,
-        memory_budget_mb: float | None = None,
-        shutdown: ShutdownCoordinator | None = None,
-        drain_timeout: float = 30.0,
-    ) -> None:
-        """Fan pending cells out over a process pool, streaming results.
-
-        Results are recorded (and checkpointed to the cache) as each
-        future completes, not at the end — an interrupt mid-sweep keeps
-        everything already finished. With ``shutdown`` armed the wait
-        loop polls the flag (Python signal handlers cannot interrupt a
-        ``concurrent.futures`` wait): on request, queued cells are
-        cancelled and running ones drain for ``drain_timeout`` seconds.
-        """
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_install_worker_traces,
-            initargs=(_pending_traces(pending, traces),),
-        ) as pool:
-            futures: dict[Future, tuple[str, str]] = {
-                pool.submit(
-                    _simulate_cell_by_name, workload, policy,
-                    config, warmup_fraction, sanitize, telemetry, engine,
-                    sampling, memory_budget_mb,
-                ): (workload, policy)
-                for workload, policy in pending
-            }
-            outstanding = set(futures)
-
-            def consume(done: set[Future]) -> None:
-                for future in done:
-                    if future.cancelled():
-                        continue  # shutdown cancelled it before it started
-                    workload, policy = futures[future]
-                    try:
-                        _, _, result = future.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise  # never swallowed into a CellError
-                    except (MemoryError, MemoryBudgetError) as exc:
-                        # Poison, not a generic cell failure: retrying
-                        # an OOM-ing cell only re-kills workers.
-                        record_failure(
-                            workload, policy, exc,
-                            classification=FailureKind.POISON.value,
-                        )
-                    except Exception as exc:
-                        record_failure(workload, policy, exc)
-                    else:
-                        record(workload, policy, result)
-
-            try:
-                while outstanding:
-                    # Checked before waiting so a request that landed
-                    # before (or between) wait slices cancels queued
-                    # cells immediately instead of letting them start
-                    # during one more slice.
-                    if shutdown is not None and shutdown.requested:
-                        # Graceful stop: queued cells are abandoned (the
-                        # journal marks them incomplete, so a resume
-                        # re-runs them); already-running cells get a
-                        # drain window to finish and be checkpointed.
-                        for future in outstanding:
-                            future.cancel()
-                        deadline = time.monotonic() + drain_timeout
-                        while outstanding and time.monotonic() < deadline:
-                            done, outstanding = wait(
-                                outstanding, timeout=0.25,
-                                return_when=FIRST_COMPLETED,
-                            )
-                            consume(done)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        return
-                    slice_timeout = 0.5 if shutdown is not None else None
-                    done, outstanding = wait(
-                        outstanding, timeout=slice_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    consume(done)
-            except BaseException:
-                # Abandon queued cells so a failing sweep (or Ctrl-C)
-                # doesn't wait for the whole matrix; completed cells are
-                # already checkpointed in the cache.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-
-    def _run_batched(
-        self,
-        pending: list[tuple[str, str]],
-        traces: dict[str, Trace],
-        config: MachineConfig,
-        warmup_fraction: float,
-        telemetry: TelemetryConfig | None,
-        record: Callable[[str, str, SimulationResult], None],
-        memory_budget_mb: float | None = None,
-        shutdown: ShutdownCoordinator | None = None,
-        drain_timeout: float = 30.0,
-    ) -> list[tuple[str, str]]:
-        """Run pending cells through per-trace batch plans.
-
-        Cells are grouped by workload and each group runs every
-        batch-eligible policy against one shared
-        :class:`~repro.mem.batch.BatchPlan` (trace decoded once, core +
-        upper-hierarchy work amortized across policies). Completed cells
-        are recorded (and checkpointed) immediately; everything the
-        batch path could not complete — ineligible policies, plan
-        failures, individual cell errors, whole-group worker crashes,
-        memory-budget breaches — is returned in deterministic order for
-        the ordinary per-cell machinery, which owns failure
-        classification and retries.
-
-        With ``shutdown`` armed the serial loop checks the flag before
-        each group, and the pool loop polls it between wait slices: on
-        request, groups that have not started are cancelled and running
-        ones drain for at most ``drain_timeout`` seconds; the caller
-        leaves every cell not recorded by then to a resume.
-        """
-        groups: dict[str, list[str]] = {}
-        for workload, policy in pending:
-            groups.setdefault(workload, []).append(policy)
-        leftover: set[tuple[str, str]] = set()
-
-        def consume(
-            workload: str,
-            outcomes: list[tuple[str, bool, SimulationResult | None]],
-        ) -> None:
-            for policy, completed, result in outcomes:
-                if completed and result is not None:
-                    record(workload, policy, result)
-                else:
-                    leftover.add((workload, policy))
-
-        if self.jobs > 1 and len(groups) > 1:
-            workers = min(self.jobs, len(groups))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_install_worker_traces,
-                initargs=(_pending_traces(pending, traces),),
-            ) as pool:
-                futures: dict[Future, tuple[str, list[str]]] = {
-                    pool.submit(
-                        _simulate_group_by_name, workload, policies,
-                        config, warmup_fraction, telemetry, memory_budget_mb,
-                    ): (workload, policies)
-                    for workload, policies in groups.items()
-                }
-                outstanding = set(futures)
-
-                def collect(done: set[Future]) -> None:
-                    for future in done:
-                        workload, policies = futures[future]
-                        try:
-                            _, outcomes = future.result()
-                        except (KeyboardInterrupt, SystemExit):
-                            raise
-                        except Exception:
-                            # A group-level fault (worker death, registry
-                            # miss, budget breach) forfeits only this
-                            # trace's batch; its cells retry per cell
-                            # where failures are classified.
-                            leftover.update(
-                                (workload, policy) for policy in policies
-                            )
-                        else:
-                            consume(workload, outcomes)
-
-                try:
-                    while outstanding:
-                        if shutdown is not None and shutdown.requested:
-                            for future in outstanding:
-                                future.cancel()
-                            deadline = time.monotonic() + drain_timeout
-                            while outstanding and time.monotonic() < deadline:
-                                done, outstanding = wait(
-                                    outstanding, timeout=0.25,
-                                    return_when=FIRST_COMPLETED,
-                                )
-                                collect(done)
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            break
-                        slice_timeout = 0.5 if shutdown is not None else None
-                        done, outstanding = wait(
-                            outstanding, timeout=slice_timeout,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        collect(done)
-                except BaseException:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-        else:
-            for workload, policies in groups.items():
-                if shutdown is not None and shutdown.requested:
-                    break
-                try:
-                    _, outcomes = _simulate_group(
-                        workload, policies, traces[workload], config,
-                        warmup_fraction, telemetry, memory_budget_mb,
-                    )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    leftover.update((workload, policy) for policy in policies)
-                else:
-                    consume(workload, outcomes)
-
-        return [cell for cell in pending if cell in leftover]
+            executor.run_serial(units)

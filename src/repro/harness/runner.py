@@ -46,8 +46,8 @@ class RunMatrix:
     #: Filled by the sweep engine: how many cells were cache hits vs
     #: simulated (None when the matrix was assembled by hand).
     sweep_stats: "SweepStats | None" = None
-    #: Filled by the sweep engine when a retry policy was armed: every
-    #: failure the resilience layer absorbed (None otherwise).
+    #: Filled by the sweep engine: every failure its executor absorbed
+    #: (None when the matrix was assembled by hand).
     failure_report: "FailureReport | None" = None
     #: Filled by the sweep engine when a run journal was armed: the
     #: journalled run id (``repro sweep --resume <run_id>``) and the
@@ -130,10 +130,10 @@ def run_matrix(
     sweeps this way; see docs/linting.md). ``telemetry`` arms
     interval-resolved observability on every cell (see
     docs/telemetry.md); each cell's profile lands in its
-    ``result.info["telemetry"]``. ``retry`` arms the resilience layer
-    (bounded retry with deterministic backoff, per-cell wall-clock
-    timeouts, worker-pool recovery — see docs/resilience.md); the
-    absorbed failures ride back on ``matrix.failure_report``. Cell
+    ``result.info["telemetry"]``. ``retry`` sets the executor's retry
+    policy (bounded retry with deterministic backoff, per-cell
+    wall-clock timeouts — see docs/resilience.md); the absorbed
+    failures ride back on ``matrix.failure_report``. Cell
     failures that survive the retry budget propagate; use
     :meth:`repro.harness.engine.SweepEngine.run` directly for per-cell
     failure isolation and engine statistics.

@@ -8,11 +8,11 @@ survive all of it:
 * :class:`RetryPolicy` / :func:`classify_failure` — a failure model
   (transient vs deterministic vs poison) with bounded retry, exponential
   backoff and *deterministic* per-cell jitter (same seed, same schedule).
-* :class:`ResilientExecutor` — the engine's fault-tolerant execution
-  loop: per-cell wall-clock timeouts enforced by a watchdog, process
-  pool rebuild after ``BrokenProcessPool``, poison marking after
-  repeated strikes, and a structured :class:`FailureReport` of every
-  attempt.
+* :class:`ResilientExecutor` — the engine's one execution loop, over
+  cells and batch groups alike: wall-clock timeouts enforced by a
+  watchdog, process pool rebuild after ``BrokenProcessPool``, poison
+  marking after repeated strikes, and a structured
+  :class:`FailureReport` of every attempt.
 * :mod:`repro.resilience.durability` — durability across *process*
   death and resource exhaustion: the write-ahead :class:`RunJournal`
   behind ``repro sweep --resume``, the :class:`ShutdownCoordinator`

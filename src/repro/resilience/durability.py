@@ -588,9 +588,11 @@ def memory_guard(budget_mb: float | None) -> Iterator[None]:
         yield
         return
     watchdog = MemoryWatchdog(budget_mb)
-    watchdog.start()
     try:
         try:
+            # Inside the handler: on a loaded host the first sample can
+            # trip while start() still waits for the thread to run.
+            watchdog.start()
             yield
         except KeyboardInterrupt:
             if watchdog.breached:

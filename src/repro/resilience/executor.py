@@ -1,17 +1,25 @@
-"""Fault-tolerant execution of sweep cells.
+"""Fault-tolerant execution of sweep work units.
 
-:class:`ResilientExecutor` is the engine's execution loop when a
-:class:`~repro.resilience.policy.RetryPolicy` (or chaos plan) is armed.
-It owns three recovery mechanisms the plain executor lacks:
+:class:`ResilientExecutor` is the one execution loop of
+:meth:`repro.harness.engine.SweepEngine.run`, serial or over a process
+pool. Its unit of work is a :class:`WorkUnit`: either one cell
+``(workload, (policy,))``, or a *batch group* — one workload's pending
+policies replayed against a shared batch plan. A group returns one
+outcome per policy; the cells it did not complete go back into the same
+queue as single-cell units, so they run on the same pool (and its trace
+registry) under the same retry rules as every other cell.
 
-* **Retry with deterministic backoff** — transient failures are retried
-  up to ``max_attempts`` with exponential backoff and seeded jitter;
-  deterministic failures fail fast.
-* **Watchdog timeouts** — each in-flight cell carries a wall-clock
-  deadline. A cell that blows it has its worker pool torn down (a hung
-  worker cannot be cancelled politely), is charged a strike, and is
-  retried; innocent in-flight cells are resubmitted at the *same*
-  attempt number with no penalty.
+The executor owns the recovery mechanisms:
+
+* **Retry with deterministic backoff** — transient cell failures are
+  retried up to ``max_attempts`` with exponential backoff and seeded
+  jitter; deterministic failures fail fast.
+* **Watchdog timeouts** — each in-flight unit carries a wall-clock
+  deadline (``cell_timeout`` per cell, ``cell_timeout x len(policies)``
+  per group). A unit that blows it has its worker pool torn down (a hung
+  worker cannot be cancelled politely); a cell is charged a strike and
+  retried, a group splits into cells. Innocent in-flight units are
+  resubmitted at the *same* attempt number with no penalty.
 * **``BrokenProcessPool`` recovery** — a worker dying (OOM killer,
   ``os._exit``, segfault) breaks the whole ``ProcessPoolExecutor``. The
   executor rebuilds the pool, charges a strike to every cell whose
@@ -20,10 +28,18 @@ It owns three recovery mechanisms the plain executor lacks:
   cell), and resubmits. A cell that keeps killing workers past
   ``poison_strikes`` is marked **poison** and abandoned so the rest of
   the matrix can finish.
+* **Graceful shutdown** — with a coordinator armed, a raised flag stops
+  submission and drains in-flight units for a bounded window.
+
+A group failure — an exception out of the group, its timeout, or one
+policy's replay raising — is recorded as a classified attempt ``0`` on
+every affected cell. It uses up none of the cell's own attempts and
+adds no strike. Policies a group skips as not batch-eligible have not
+failed and are not recorded.
 
 Submission is bounded to the worker count, so every in-flight future is
 actually running — deadlines measure real wall-clock execution, and a
-pool break never charges strikes to cells that were still queued.
+pool break never charges strikes to units that were still queued.
 
 Every absorbed failure lands in the shared
 :class:`~repro.resilience.report.FailureReport`.
@@ -40,6 +56,7 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import cast
 
 from ..errors import CellTimeoutError, MemoryBudgetError
 from .durability import ShutdownCoordinator
@@ -62,22 +79,53 @@ _MIN_WAIT = 0.01
 _SHUTDOWN_POLL = 0.5
 
 
-@dataclass
-class _CellState:
-    """Mutable per-cell bookkeeping while the sweep is in flight."""
+@dataclass(frozen=True)
+class WorkUnit:
+    """One submission: a single cell, or one workload's batch group.
+
+    A cell unit has exactly one policy. A group unit (``group=True``)
+    returns a list of ``(policy, completed, payload)`` outcomes, where
+    ``payload`` is the cell's result when ``completed``, the exception
+    its replay raised, or ``None`` for a policy the group could not
+    batch.
+    """
 
     workload: str
-    policy: str
-    attempt: int = 1
+    policies: tuple[str, ...]
+    group: bool = False
+
+
+@dataclass
+class _UnitState:
+    """Mutable per-unit bookkeeping while the sweep is in flight."""
+
+    unit: WorkUnit
+    attempt: int = 1  # groups stay at 0: their failures use no cell attempt
     strikes: int = 0  # worker-killing faults (pool breaks, timeouts)
+
+    def __post_init__(self) -> None:
+        if self.unit.group:
+            self.attempt = 0
+
+    @property
+    def workload(self) -> str:
+        return self.unit.workload
+
+    @property
+    def policy(self) -> str:
+        return self.unit.policies[0]
 
     @property
     def cell_id(self) -> str:
-        return f"{self.workload} x {self.policy}"
+        return f"{self.workload} x {', '.join(self.unit.policies)}"
+
+
+#: Callback that queues a unit again: ``(state, backoff_seconds)``.
+_Reschedule = Callable[[_UnitState, float], None]
 
 
 class ResilientExecutor:
-    """Runs sweep cells under a :class:`RetryPolicy`.
+    """Runs sweep work units under a :class:`RetryPolicy`.
 
     Parameters
     ----------
@@ -86,14 +134,15 @@ class ResilientExecutor:
     workers:
         Worker processes for the pool path (``run_pool``).
     submit:
-        ``submit(pool, workload, policy, attempt) -> Future`` — builds
-        the worker call for one attempt of one cell.
+        ``submit(pool, unit, attempt) -> Future`` — builds the worker
+        call for one attempt of one unit.
     run_inline:
-        ``run_inline(workload, policy, attempt) -> result`` — the serial
-        in-process equivalent (``run_serial``).
+        ``run_inline(unit, attempt) -> result`` — the serial in-process
+        equivalent (``run_serial``).
     on_success:
         Called with ``(workload, policy, result)`` for every finished
-        cell.
+        cell: the unit's result for a cell unit, the outcome payload for
+        a cell a group completed.
     on_failure:
         Called with ``(workload, policy, exc, kind)`` when a cell is
         abandoned (retries exhausted, deterministic, or poison). May
@@ -109,7 +158,7 @@ class ResilientExecutor:
     shutdown:
         Optional :class:`~repro.resilience.durability.ShutdownCoordinator`.
         When its flag is raised the executor stops submitting, drains
-        in-flight cells for at most ``drain_timeout`` seconds, and
+        in-flight units for at most ``drain_timeout`` seconds, and
         returns — unfinished cells are simply left unrun (the journal
         marks them incomplete, so a resume re-runs them).
     """
@@ -118,8 +167,8 @@ class ResilientExecutor:
         self,
         retry: RetryPolicy,
         workers: int,
-        submit: Callable[[ProcessPoolExecutor, str, str, int], Future],
-        run_inline: Callable[[str, str, int], object],
+        submit: Callable[[ProcessPoolExecutor, WorkUnit, int], Future],
+        run_inline: Callable[[WorkUnit, int], object],
         on_success: Callable[[str, str, object], None],
         on_failure: Callable[[str, str, BaseException, FailureKind], None],
         report: FailureReport,
@@ -143,33 +192,22 @@ class ResilientExecutor:
 
     # -- shared bookkeeping -------------------------------------------------
 
-    def _succeed(self, cell: _CellState, result: object) -> None:
-        if (cell.workload, cell.policy) in self.report.cells:
-            self.report.record_outcome(cell.workload, cell.policy, OUTCOME_RECOVERED)
-        self.on_success(cell.workload, cell.policy, result)
-
-    def _absorb(
+    def _record_attempt(
         self,
-        cell: _CellState,
+        workload: str,
+        policy: str,
+        attempt: int,
         exc: BaseException,
         duration: float,
-        strike: bool,
-        reschedule: Callable[[_CellState, float], None],
+        kind: FailureKind | None = None,
+        backoff: float = 0.0,
     ) -> None:
-        """Classify one failed attempt; retry, or abandon the cell."""
-        kind = classify_failure(exc)
-        if strike:
-            cell.strikes += 1
-            if kind is FailureKind.TRANSIENT and cell.strikes >= self.retry.poison_strikes:
-                kind = FailureKind.POISON
-        retrying = self.retry.should_retry(kind, cell.attempt)
-        backoff = self.retry.backoff_for(cell.cell_id, cell.attempt) if retrying else 0.0
         self.report.record_attempt(
-            cell.workload,
-            cell.policy,
+            workload,
+            policy,
             CellAttempt(
-                attempt=cell.attempt,
-                classification=kind.value,
+                attempt=attempt,
+                classification=(kind or classify_failure(exc)).value,
                 error_type=type(exc).__name__,
                 message=str(exc),
                 traceback="".join(
@@ -178,6 +216,67 @@ class ResilientExecutor:
                 duration=duration,
                 backoff=backoff,
             ),
+        )
+
+    def _succeed(self, workload: str, policy: str, result: object) -> None:
+        if (workload, policy) in self.report.cells:
+            self.report.record_outcome(workload, policy, OUTCOME_RECOVERED)
+        self.on_success(workload, policy, result)
+
+    def _finish(
+        self,
+        state: _UnitState,
+        result: object,
+        duration: float,
+        requeue: Callable[[_UnitState], None],
+    ) -> None:
+        """Record a finished unit; a group's unfinished cells are requeued."""
+        if not state.unit.group:
+            self._succeed(state.workload, state.policy, result)
+            return
+        for policy, completed, payload in cast("list[tuple[str, bool, object]]", result):
+            if completed:
+                self._succeed(state.workload, policy, payload)
+                continue
+            if isinstance(payload, BaseException):  # else None: not batchable
+                self._record_attempt(state.workload, policy, 0, payload, duration)
+            requeue(_UnitState(WorkUnit(state.workload, (policy,))))
+
+    def _fail(
+        self,
+        state: _UnitState,
+        exc: BaseException,
+        duration: float,
+        strike: bool,
+        reschedule: _Reschedule,
+        requeue: Callable[[_UnitState], None],
+    ) -> None:
+        """One failed attempt: a group splits into cells, a cell is absorbed."""
+        if state.unit.group:
+            outcomes = [(policy, False, exc) for policy in state.unit.policies]
+            self._finish(state, outcomes, duration, requeue)
+        else:
+            self._absorb(state, exc, duration, strike, reschedule)
+
+    def _absorb(
+        self,
+        cell: _UnitState,
+        exc: BaseException,
+        duration: float,
+        strike: bool,
+        reschedule: _Reschedule,
+    ) -> None:
+        """Classify one failed cell attempt; retry, or abandon the cell."""
+        kind = classify_failure(exc)
+        if strike:
+            cell.strikes += 1
+            if kind is FailureKind.TRANSIENT and cell.strikes >= self.retry.poison_strikes:
+                kind = FailureKind.POISON
+        retrying = self.retry.should_retry(kind, cell.attempt)
+        backoff = self.retry.backoff_for(cell.cell_id, cell.attempt) if retrying else 0.0
+        self._record_attempt(
+            cell.workload, cell.policy, cell.attempt, exc, duration,
+            kind=kind, backoff=backoff,
         )
         if retrying:
             cell.attempt += 1
@@ -189,79 +288,79 @@ class ResilientExecutor:
 
     # -- serial path --------------------------------------------------------
 
-    def run_serial(self, cells: Iterable[tuple[str, str]]) -> None:
-        """Retry loop without a pool (no timeout enforcement possible).
+    def run_serial(self, units: Iterable[WorkUnit]) -> None:
+        """In-process loop (no timeout enforcement possible).
 
         The engine routes timeout-armed or chaos-armed sweeps to
         :meth:`run_pool` even at ``jobs=1``; this path covers plain
         retry/classification where in-process execution keeps unit
-        sweeps hermetic.
+        sweeps hermetic. A retried cell runs again straight after its
+        backoff; a group's unfinished cells join the end of the queue.
         """
-        for workload, policy in cells:
+        queue: deque[_UnitState] = deque(_UnitState(unit) for unit in units)
+
+        def retry_now(cell: _UnitState, backoff: float) -> None:
+            if not self._stopping():  # skip the wait; the cell resumes later
+                time.sleep(backoff)
+            queue.appendleft(cell)
+
+        while queue:
             if self._stopping():
-                return  # remaining cells stay unrun (resumable)
-            cell = _CellState(workload, policy)
-            while True:
-                started = time.monotonic()
-                try:
-                    result = self.run_inline(cell.workload, cell.policy, cell.attempt)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception as exc:
-                    retry_delay: list[float] = []
-                    self._absorb(
-                        cell,
-                        exc,
-                        duration=time.monotonic() - started,
-                        # Memory-budget breaches strike even in-process:
-                        # a cell that keeps blowing its budget must walk
-                        # the same ladder to poison as a worker-killer.
-                        strike=isinstance(exc, MemoryBudgetError),
-                        reschedule=lambda _cell, backoff: retry_delay.append(backoff),
-                    )
-                    if not retry_delay:
-                        break  # abandoned (on_failure already ran)
-                    if self._stopping():
-                        break  # skip the backoff wait; cell resumes later
-                    time.sleep(retry_delay[0])
-                else:
-                    self._succeed(cell, result)
-                    break
+                return  # remaining units stay unrun (resumable)
+            state = queue.popleft()
+            started = time.monotonic()
+            try:
+                result = self.run_inline(state.unit, state.attempt)
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception as exc:
+                # Memory-budget breaches strike even in-process: a cell
+                # that keeps blowing its budget must walk the same
+                # ladder to poison as a worker-killer.
+                self._fail(state, exc, time.monotonic() - started,
+                           strike=isinstance(exc, MemoryBudgetError),
+                           reschedule=retry_now, requeue=queue.append)
+            else:
+                self._finish(state, result, time.monotonic() - started, queue.append)
 
     # -- pool path ----------------------------------------------------------
 
-    def run_pool(self, cells: Iterable[tuple[str, str]]) -> None:
-        """Fan cells over a process pool with watchdog + rebuild."""
+    def _deadline(self, unit: WorkUnit, started: float) -> float:
         timeout = self.retry.cell_timeout
+        if timeout is None:
+            return float("inf")
+        return started + timeout * len(unit.policies)
+
+    def run_pool(self, units: Iterable[WorkUnit]) -> None:
+        """Fan units over a process pool with watchdog + rebuild."""
         seq = itertools.count()  # heap tie-breaker
-        queue: deque[_CellState] = deque(_CellState(w, p) for w, p in cells)
-        delayed: list[tuple[float, int, _CellState]] = []  # backoff heap
-        inflight: dict[Future, tuple[_CellState, float, float]] = {}  # start, deadline
+        queue: deque[_UnitState] = deque(_UnitState(unit) for unit in units)
+        delayed: list[tuple[float, int, _UnitState]] = []  # backoff heap
+        inflight: dict[Future, tuple[_UnitState, float, float]] = {}  # start, deadline
         pool: ProcessPoolExecutor | None = None
 
-        def reschedule(cell: _CellState, backoff: float) -> None:
-            heapq.heappush(delayed, (time.monotonic() + backoff, next(seq), cell))
+        def reschedule(state: _UnitState, backoff: float) -> None:
+            heapq.heappush(delayed, (time.monotonic() + backoff, next(seq), state))
 
         try:
             while queue or delayed or inflight:
                 if self._stopping():
                     self._drain(inflight)
-                    return  # queue/delayed cells stay unrun (resumable)
+                    return  # queue/delayed units stay unrun (resumable)
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     queue.append(heapq.heappop(delayed)[2])
                 while queue and len(inflight) < self.workers:
-                    cell = queue.popleft()
+                    state = queue.popleft()
                     if pool is None:
                         pool = (
                             self.pool_factory()
                             if self.pool_factory is not None
                             else ProcessPoolExecutor(max_workers=self.workers)
                         )
-                    future = self.submit(pool, cell.workload, cell.policy, cell.attempt)
+                    future = self.submit(pool, state.unit, state.attempt)
                     started = time.monotonic()
-                    deadline = float("inf") if timeout is None else started + timeout
-                    inflight[future] = (cell, started, deadline)
+                    inflight[future] = (state, started, self._deadline(state.unit, started))
 
                 if not inflight:
                     if delayed:  # everything is backing off
@@ -281,7 +380,7 @@ class ResilientExecutor:
 
                 pool_broke = False
                 for future in done:
-                    cell, started, _ = inflight.pop(future)
+                    state, started, _ = inflight.pop(future)
                     duration = time.monotonic() - started
                     try:
                         result = future.result()
@@ -289,47 +388,50 @@ class ResilientExecutor:
                         raise
                     except BrokenProcessPool as exc:
                         pool_broke = True
-                        self._absorb(cell, exc, duration, strike=True,
-                                     reschedule=reschedule)
+                        self._fail(state, exc, duration, strike=True,
+                                   reschedule=reschedule, requeue=queue.append)
                     except Exception as exc:
                         # A memory-budget breach counts as a strike: the
                         # worker survived (unlike an OOM kill), but a
                         # cell that keeps blowing its budget must still
                         # reach poison before the OS OOM-killer does.
-                        self._absorb(cell, exc, duration,
-                                     strike=isinstance(exc, MemoryBudgetError),
-                                     reschedule=reschedule)
+                        self._fail(state, exc, duration,
+                                   strike=isinstance(exc, MemoryBudgetError),
+                                   reschedule=reschedule, requeue=queue.append)
                     else:
-                        self._succeed(cell, result)
+                        self._finish(state, result, duration, queue.append)
 
                 if pool_broke:
                     pool = self._recycle_pool(pool, inflight, queue, kill=False)
                     continue
 
-                if timeout is not None:
-                    now = time.monotonic()
-                    expired = [f for f, (_, _, dl) in inflight.items() if dl <= now]
-                    for future in expired:
-                        cell, started, _ = inflight.pop(future)
-                        exc = CellTimeoutError(
-                            f"cell {cell.cell_id} exceeded its {timeout:g}s "
-                            f"wall-clock budget (attempt {cell.attempt})"
-                        )
-                        self._absorb(cell, exc, now - started, strike=True,
-                                     reschedule=reschedule)
-                    if expired:
-                        # The hung worker cannot be cancelled; kill the
-                        # pool and resubmit the innocent in-flight cells
-                        # at the same attempt with no penalty.
-                        pool = self._recycle_pool(pool, inflight, queue, kill=True)
+                now = time.monotonic()
+                expired = [f for f, (_, _, dl) in inflight.items() if dl <= now]
+                for future in expired:
+                    state, started, deadline = inflight.pop(future)
+                    exc = CellTimeoutError(
+                        f"{'batch group' if state.unit.group else 'cell'} "
+                        f"{state.cell_id} exceeded its {deadline - started:g}s "
+                        f"wall-clock budget (attempt {state.attempt})"
+                    )
+                    self._fail(state, exc, now - started, strike=True,
+                               reschedule=reschedule, requeue=queue.append)
+                if expired:
+                    # The hung worker cannot be cancelled; kill the pool
+                    # and resubmit the innocent in-flight units at the
+                    # same attempt with no penalty.
+                    pool = self._recycle_pool(pool, inflight, queue, kill=True)
         finally:
             if pool is not None:
-                self._shutdown_pool(pool, kill=True)
+                if inflight:  # abandoned by an exception or a drain deadline
+                    self._shutdown_pool(pool, kill=True)
+                else:
+                    pool.shutdown(wait=True)
 
     def _wait_slice(
         self,
-        inflight: dict[Future, tuple[_CellState, float, float]],
-        delayed: list[tuple[float, int, _CellState]],
+        inflight: dict[Future, tuple[_UnitState, float, float]],
+        delayed: list[tuple[float, int, _UnitState]],
     ) -> float | None:
         """How long wait() may block before a deadline or backoff expiry."""
         now = time.monotonic()
@@ -342,21 +444,22 @@ class ResilientExecutor:
             return None
         return max(_MIN_WAIT, horizon - now)
 
-    def _drain(self, inflight: dict[Future, tuple[_CellState, float, float]]) -> None:
-        """Give in-flight cells a bounded window to finish, then stop.
+    def _drain(self, inflight: dict[Future, tuple[_UnitState, float, float]]) -> None:
+        """Give in-flight units a bounded window to finish, then stop.
 
         Completed cells are recorded (and checkpointed by the engine's
         callbacks) like any other; cells that fail — or are still
         running when the drain deadline expires — are left unfinished
         without retrying, so the journal marks them incomplete and a
-        resume re-runs them. The caller's ``finally`` kills the pool.
+        resume re-runs them. The caller's ``finally`` kills the pool if
+        any are still running.
         """
         deadline = time.monotonic() + self.drain_timeout
         while inflight and time.monotonic() < deadline:
             done, _ = wait(set(inflight), timeout=0.25,
                            return_when=FIRST_COMPLETED)
             for future in done:
-                cell, started, _ = inflight.pop(future)
+                state, started, _ = inflight.pop(future)
                 duration = time.monotonic() - started
                 try:
                     result = future.result()
@@ -364,34 +467,27 @@ class ResilientExecutor:
                     raise
                 except BaseException as exc:
                     # Account for the attempt but never resubmit during
-                    # a shutdown; the cell simply stays unfinished.
-                    self.report.record_attempt(
-                        cell.workload,
-                        cell.policy,
-                        CellAttempt(
-                            attempt=cell.attempt,
-                            classification=classify_failure(exc).value,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            duration=duration,
-                        ),
-                    )
+                    # a shutdown; the cells simply stay unfinished.
+                    for policy in state.unit.policies:
+                        self._record_attempt(
+                            state.workload, policy, state.attempt, exc, duration
+                        )
                 else:
-                    self._succeed(cell, result)
+                    self._finish(state, result, duration, requeue=lambda _: None)
 
     def _recycle_pool(
         self,
         pool: ProcessPoolExecutor | None,
-        inflight: dict[Future, tuple[_CellState, float, float]],
-        queue: deque[_CellState],
+        inflight: dict[Future, tuple[_UnitState, float, float]],
+        queue: deque[_UnitState],
         kill: bool,
     ) -> None:
-        """Tear the pool down and resubmit innocent in-flight cells.
+        """Tear the pool down and resubmit innocent in-flight units.
 
-        Cells still in ``inflight`` were victims of the teardown, not
+        Units still in ``inflight`` were victims of the teardown, not
         its cause — they rejoin the queue at the same attempt number.
         """
-        survivors = [cell for cell, _, _ in inflight.values()]
+        survivors = [state for state, _, _ in inflight.values()]
         inflight.clear()
         queue.extend(survivors)
         if pool is not None:

@@ -149,3 +149,10 @@ class RetryPolicy:
     def should_retry(self, kind: FailureKind, attempt: int) -> bool:
         """Whether another attempt is warranted after this failure."""
         return kind is FailureKind.TRANSIENT and attempt < self.max_attempts
+
+
+#: The policy a sweep runs under when the caller gives none: one
+#: attempt per cell, and the first strike (a worker death or a memory
+#: budget breach) makes a cell poison. Nothing retries, but every
+#: failure is still classified by :func:`classify_failure`.
+NO_RETRY = RetryPolicy(max_attempts=1, poison_strikes=1)

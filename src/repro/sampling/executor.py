@@ -13,10 +13,6 @@ The executor runs each representative interval of a
    policy *predictor* state is rebuilt on top of the content:
 
    * ``"recency"`` — content only; global tables start cold.
-   * ``"replay"`` — after the content rebuild, a bounded suffix of the
-     skipped region (``spec.replay_windows`` windows) streams through
-     the real access path with DRAM timing stubbed out, driving each
-     policy's training hooks without timing simulation.
    * ``"checkpoint"`` — a single functional pass over the trace prefix
      captures, at every interval boundary, the policy's global tables
      (:meth:`~repro.policies.base.ReplacementPolicy.checkpoint_tables`)
@@ -265,7 +261,7 @@ def compute_boundary_checkpoints(
     if policy.checkpoint_tables() is None:
         raise ConfigurationError(
             f"policy {policy_name!r} does not implement the warm-state "
-            'checkpoint protocol; use warm_synthesis="recency" or "replay"'
+            'checkpoint protocol; use warm_synthesis="recency"'
         )
     checkpoints: dict[int, dict[str, object]] = {}
     position = 0
@@ -451,7 +447,7 @@ def simulate_sampled(
         if type(hierarchy.llc.policy).__name__ not in WARM_STATE_EXCLUDED:
             raise ConfigurationError(
                 f"policy {policy_name!r} does not implement the warm-state "
-                'checkpoint protocol; use warm_synthesis="recency" or "replay"'
+                'checkpoint protocol; use warm_synthesis="recency"'
             )
         strategy = "recency"
     if strategy == "checkpoint":
@@ -466,7 +462,6 @@ def simulate_sampled(
 
     measurements: list[tuple[SimulationResult, int]] = []
     synthesis_fills = 0
-    replay_accesses = 0
     checkpoint_restores = 0
     for interval in plan.intervals:
         if checkpoints is not None:
@@ -477,12 +472,8 @@ def simulate_sampled(
             checkpoint_restores += 1
         else:
             synthesis_fills += synthesize_warm_state(
-                hierarchy, trace, interval.replay_start
+                hierarchy, trace, interval.warm_start
             )
-            if strategy == "replay":
-                replay_accesses += _functional_replay(
-                    hierarchy, trace, interval.replay_start, interval.warm_start
-                )
         warm_core = CoreModel(config.core)
         if interval.warm_start < interval.start:
             if use_fast:
@@ -518,7 +509,6 @@ def simulate_sampled(
         "sampling_synthesis_effective": strategy,
         "sampling_plan": plan.to_json_dict(),
         "sampling_synthesis_fills": synthesis_fills,
-        "sampling_replay_accesses": replay_accesses,
         "sampling_checkpoint_restores": checkpoint_restores,
         "warmup_accesses": int(len(trace) * warmup_fraction),
         "measured_accesses": sum(i.measured_accesses for i in plan.intervals),

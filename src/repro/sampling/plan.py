@@ -41,14 +41,6 @@ class Interval:
     weight: int
     #: Cluster index the interval represents.
     cluster: int
-    #: First record of the training-only functional replay preceding the
-    #: timed warm-up (equals ``warm_start`` unless the plan's spec uses
-    #: the ``"replay"`` synthesis strategy).
-    replay_start: int = -1
-
-    def __post_init__(self) -> None:
-        if self.replay_start < 0:
-            object.__setattr__(self, "replay_start", self.warm_start)
 
     @property
     def measured_accesses(self) -> int:
@@ -58,11 +50,6 @@ class Interval:
     def simulated_accesses(self) -> int:
         """Warm-up plus measured records actually simulated (timed)."""
         return self.stop - self.warm_start
-
-    @property
-    def functional_accesses(self) -> int:
-        """Records replayed functionally (training only, untimed)."""
-        return self.warm_start - self.replay_start
 
 
 @dataclass(frozen=True)
@@ -87,18 +74,8 @@ class SamplingPlan:
         return sum(interval.simulated_accesses for interval in self.intervals)
 
     @property
-    def functional_accesses(self) -> int:
-        """Trace records functionally replayed (training only, untimed)."""
-        return sum(interval.functional_accesses for interval in self.intervals)
-
-    @property
     def reduction(self) -> float:
-        """Trace-reduction factor: full length over *timed* records.
-
-        Functional replay accesses are reported separately (they cost a
-        policy-hook pass but no timing simulation) — see
-        :attr:`functional_accesses` and the plan's JSON form.
-        """
+        """Trace-reduction factor: full length over simulated records."""
         if not self.simulated_accesses:
             return 0.0
         return self.trace_accesses / self.simulated_accesses
@@ -111,7 +88,6 @@ class SamplingPlan:
             "num_windows": self.num_windows,
             "trace_accesses": self.trace_accesses,
             "simulated_accesses": self.simulated_accesses,
-            "functional_accesses": self.functional_accesses,
             "reduction": round(self.reduction, 3),
             "intervals": [
                 {
@@ -119,7 +95,6 @@ class SamplingPlan:
                     "start": i.start,
                     "stop": i.stop,
                     "warm_start": i.warm_start,
-                    "replay_start": i.replay_start,
                     "weight": i.weight,
                     "cluster": i.cluster,
                 }
@@ -182,9 +157,6 @@ def build_plan(
         representative = int(tied[len(tied) // 2])
         start, stop = spans[representative]
         warm_start = max(start - spec.warm_windows * window, 0)
-        replay_start = warm_start
-        if spec.warm_synthesis == "replay":
-            replay_start = max(warm_start - spec.replay_windows * window, 0)
         intervals.append(
             Interval(
                 index=representative,
@@ -193,7 +165,6 @@ def build_plan(
                 warm_start=warm_start,
                 weight=int(len(members)),
                 cluster=cluster,
-                replay_start=replay_start,
             )
         )
     intervals.sort(key=lambda interval: interval.start)

@@ -16,7 +16,8 @@ from typing import Any
 from ..errors import ConfigurationError
 
 #: Version of the spec's JSON representation (part of cell cache keys).
-SPEC_SCHEMA_VERSION = 2
+#: v3 dropped the ``replay`` strategy's ``replay_windows`` field.
+SPEC_SCHEMA_VERSION = 3
 
 #: Floor on the auto-sized measurement window, in accesses. Windows
 #: below this measure too little to be statistically meaningful even on
@@ -28,13 +29,10 @@ MIN_AUTO_WINDOW = 250
 #: * ``"recency"`` — rebuild per-level content from trace recency only
 #:   (MTR-style); right for recency-family policies, blind to learned
 #:   predictor tables.
-#: * ``"replay"`` — recency content plus a training-only functional
-#:   replay of the last ``replay_windows`` windows of the skipped
-#:   region, driving the policy's training hooks without timing.
 #: * ``"checkpoint"`` — recency content plus predictor tables restored
 #:   from a functional pass over the trace prefix, captured once per
 #:   (trace, policy, config, boundaries) and reused across runs.
-SYNTHESIS_STRATEGIES = ("recency", "replay", "checkpoint")
+SYNTHESIS_STRATEGIES = ("recency", "checkpoint")
 
 
 @dataclass(frozen=True)
@@ -65,15 +63,9 @@ class SamplingSpec:
     warm_synthesis:
         Warm-state synthesis strategy, one of
         :data:`SYNTHESIS_STRATEGIES`. ``"recency"`` rebuilds cache
-        content only; ``"replay"`` additionally drives the policy's
-        training hooks over a bounded suffix of the skipped region;
-        ``"checkpoint"`` restores predictor tables captured at interval
-        boundaries by a functional pass over the trace prefix.
-    replay_windows:
-        For ``warm_synthesis="replay"``: how many windows of the
-        skipped region are functionally replayed (training only, no
-        timing) before each measured interval. Ignored by the other
-        strategies.
+        content only; ``"checkpoint"`` also restores predictor tables
+        captured at interval boundaries by a functional pass over the
+        trace prefix.
     """
 
     intervals: int = 4
@@ -82,7 +74,6 @@ class SamplingSpec:
     seed: int = 0
     target_reduction: int = 12
     warm_synthesis: str = "recency"
-    replay_windows: int = 4
 
     def __post_init__(self) -> None:
         if self.intervals < 1:
@@ -108,11 +99,6 @@ class SamplingSpec:
                 f"sampling warm_synthesis must be one of "
                 f"{', '.join(SYNTHESIS_STRATEGIES)}; got {self.warm_synthesis!r}"
             )
-        if self.replay_windows < 1:
-            raise ConfigurationError(
-                f"sampling replay_windows must be >= 1, "
-                f"got {self.replay_windows}"
-            )
 
     def effective_window(self, trace_accesses: int) -> int:
         """The window size used for a trace of ``trace_accesses`` records.
@@ -120,16 +106,12 @@ class SamplingSpec:
         Auto sizing solves ``intervals * windows_touched * window <=
         trace_accesses / target_reduction`` for the window, floored at
         :data:`MIN_AUTO_WINDOW` so degenerate traces still get a usable
-        window. ``windows_touched`` counts the measured window, the
-        timed warm-up windows and — under the ``"replay"`` strategy —
-        the functionally replayed windows, so the total work touched
-        per run honours the reduction target regardless of strategy.
+        window. ``windows_touched`` counts the measured window and the
+        timed warm-up windows.
         """
         if self.window_size > 0:
             return self.window_size
         per_interval = self.warm_windows + 1
-        if self.warm_synthesis == "replay":
-            per_interval += self.replay_windows
         budget = self.intervals * per_interval * self.target_reduction
         return max(MIN_AUTO_WINDOW, trace_accesses // max(budget, 1))
 
@@ -143,7 +125,6 @@ class SamplingSpec:
             "seed": self.seed,
             "target_reduction": self.target_reduction,
             "warm_synthesis": self.warm_synthesis,
-            "replay_windows": self.replay_windows,
         }
 
     @classmethod
@@ -162,7 +143,6 @@ class SamplingSpec:
             seed=int(doc["seed"]),
             target_reduction=int(doc["target_reduction"]),
             warm_synthesis=str(doc["warm_synthesis"]),
-            replay_windows=int(doc["replay_windows"]),
         )
 
     @classmethod
@@ -172,10 +152,9 @@ class SamplingSpec:
         ``"default"`` (or the empty string) yields the default spec;
         otherwise the string is comma-separated ``key=value`` pairs with
         the keys ``k`` (intervals), ``window``, ``warm``, ``seed``,
-        ``reduction``, ``synthesis`` (a strategy name from
-        :data:`SYNTHESIS_STRATEGIES`) and ``replay`` (windows replayed
-        under the replay strategy), e.g.
-        ``"k=4,window=0,synthesis=replay,replay=4"``.
+        ``reduction`` and ``synthesis`` (a strategy name from
+        :data:`SYNTHESIS_STRATEGIES`), e.g.
+        ``"k=4,window=0,synthesis=checkpoint"``.
         """
         text = text.strip()
         if text in ("", "default"):
@@ -193,8 +172,6 @@ class SamplingSpec:
             "target_reduction": "target_reduction",
             "synthesis": "warm_synthesis",
             "warm_synthesis": "warm_synthesis",
-            "replay": "replay_windows",
-            "replay_windows": "replay_windows",
         }
         for part in text.split(","):
             key, sep, raw = part.partition("=")
@@ -203,8 +180,8 @@ class SamplingSpec:
                 raise ConfigurationError(
                     f"bad sampling spec element {part!r}; expected "
                     "comma-separated key=value pairs with keys "
-                    "k, window, warm, seed, reduction, synthesis, "
-                    "replay (or 'default')"
+                    "k, window, warm, seed, reduction, synthesis "
+                    "(or 'default')"
                 )
             field = aliases[key]
             raw = raw.strip()
@@ -222,11 +199,8 @@ class SamplingSpec:
     def describe(self) -> str:
         """One-line human-readable form (CLI output)."""
         window = self.window_size if self.window_size else "auto"
-        synthesis = self.warm_synthesis
-        if synthesis == "replay":
-            synthesis = f"replay({self.replay_windows}w)"
         return (
             f"k={self.intervals} window={window} warm={self.warm_windows} "
             f"seed={self.seed} target_reduction={self.target_reduction}x "
-            f"synthesis={synthesis}"
+            f"synthesis={self.warm_synthesis}"
         )

@@ -11,9 +11,9 @@ committed error budget in CI.
 Each policy validates under its committed warm-state synthesis strategy
 (:data:`PREFERRED_SYNTHESIS`): the recency family needs only the
 recency-ordered content rebuild, while learned policies additionally
-need their predictor tables synthesized — by training-only replay of
-the skipped region or by interval-boundary table checkpoints (see
-docs/sampling.md for the per-policy validation status).
+need their predictor tables synthesized by interval-boundary table
+checkpoints (see docs/sampling.md for the per-policy validation
+status).
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ VALIDATED_POLICIES = ("lru", "srrip", "dip", "ship", "hawkeye", "mpppb")
 #: strategy the caller's spec carries. The recency family needs no
 #: predictor synthesis; learned policies use interval-boundary table
 #: checkpoints, which reproduce a full run's tables bit-exactly at the
-#: warm-up boundary (training-only replay is the cheaper fallback where
-#: a checkpoint pass over the prefix is not worth its cost).
+#: warm-up boundary.
 PREFERRED_SYNTHESIS: dict[str, str] = {
     "lru": "recency",
     "srrip": "recency",

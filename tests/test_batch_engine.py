@@ -10,6 +10,8 @@ cell must not take the rest of the matrix down).
 """
 
 import json
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -20,15 +22,44 @@ from repro.core.simulator import build_hierarchy, simulate
 from repro.errors import ConfigurationError, SimulationError
 from repro.harness.engine import (
     SweepEngine,
+    _init_worker,
     _install_worker_traces,
     _simulate_cell_by_name,
     _simulate_group,
 )
 from repro.mem.batch import BatchSimulator, batch_eligible, simulate_batched
 from repro.resilience import RetryPolicy
+from repro.resilience.report import OUTCOME_RECOVERED
 from repro.telemetry import TelemetryConfig
 from repro.trace import synthetic
 from repro.trace.record import AccessKind
+
+
+#: Marker file of :func:`_run_cell_hanging_once`; set by the test that
+#: installs the patch. Module state, so forked pool workers inherit it.
+_HANG_MARKER: list = []
+_ORIGINAL_RUN_CELL = BatchSimulator.run_cell
+
+
+def _run_cell_hanging_once(self, llc_policy, hierarchy=None):
+    """``BatchSimulator.run_cell`` that hangs 30 s on its first call.
+
+    The first caller (in any process) creates the marker file; every
+    later call, in any worker, replays normally.
+    """
+    (marker,) = _HANG_MARKER
+    try:
+        marker.touch(exist_ok=False)
+    except FileExistsError:
+        pass
+    else:
+        time.sleep(30)
+    return _ORIGINAL_RUN_CELL(self, llc_policy, hierarchy)
+
+
+def _signal_actions():
+    """This process's SIGTERM and SIGINT actions (run in a pool worker)."""
+    return signal.getsignal(signal.SIGTERM), signal.getsignal(signal.SIGINT)
 
 
 def canonical(result) -> str:
@@ -238,13 +269,15 @@ class TestIneligibleFallback:
 
         BatchSimulator.run_cell = flaky
         try:
-            _, outcomes = _simulate_group(
+            outcomes = _simulate_group(
                 "zipf", POLICIES, traces["zipf"], machine, 0.2
             )
         finally:
             BatchSimulator.run_cell = original
         by_policy = {policy: completed for policy, completed, _ in outcomes}
         assert by_policy == {"lru": True, "ship": False, "drrip": True}
+        (failed,) = [payload for policy, _, payload in outcomes if policy == "ship"]
+        assert isinstance(failed, RuntimeError)
 
 
 class TestResilienceIntegration:
@@ -344,6 +377,41 @@ class TestTraceDedup:
         for _, args in group_submits:
             assert not any(isinstance(a, Trace) for a in args)
 
+    def test_group_failures_are_recorded_and_split_cells_share_the_pool(
+        self, machine, traces, fast_baseline, monkeypatch
+    ):
+        original = BatchSimulator.run_cell
+
+        def flaky(self, policy, hierarchy=None):
+            if policy == "ship":
+                raise RuntimeError("cell exploded mid-batch")
+            return original(self, policy, hierarchy)
+
+        monkeypatch.setattr(BatchSimulator, "run_cell", flaky)
+        captured = self._recording_pool(monkeypatch)
+        outcome = SweepEngine(jobs=2).run(
+            traces, POLICIES, config=machine, engine="batched"
+        )
+        assert canon_matrix(outcome) == fast_baseline
+        report = outcome.failure_report
+        assert set(report.cells) == {(w, "ship") for w in traces}
+        for workload in traces:
+            history = report.cells[(workload, "ship")]
+            assert history.outcome == OUTCOME_RECOVERED
+            (attempt,) = history.attempts
+            assert attempt.attempt == 0
+            assert attempt.error_type == "RuntimeError"
+            assert attempt.classification == "deterministic"
+        # The failed cells reran per cell on the groups' pool.
+        assert len(captured["initargs"]) == 1
+        cell_submits = [
+            args for name, args in captured["submits"]
+            if name == "_simulate_cell_by_name"
+        ]
+        assert sorted(args[:2] for args in cell_submits) == sorted(
+            (w, "ship") for w in traces
+        )
+
     def test_worker_registry_resolves_and_rejects(self, machine, traces):
         _install_worker_traces(dict(traces))
         try:
@@ -357,6 +425,52 @@ class TestTraceDedup:
                 _simulate_cell_by_name("missing", "lru", machine, 0.2, False)
         finally:
             _install_worker_traces({})
+
+
+class TestBatchedWatchdog:
+    def test_batched_groups_honour_the_cell_timeout(
+        self, tmp_path, machine, traces, fast_baseline, monkeypatch
+    ):
+        _HANG_MARKER[:] = [tmp_path / "hung"]
+        monkeypatch.setattr(BatchSimulator, "run_cell", _run_cell_hanging_once)
+        try:
+            started = time.monotonic()
+            outcome = SweepEngine(jobs=2).run(
+                traces, POLICIES, config=machine, engine="batched",
+                retry=RetryPolicy(max_attempts=2, cell_timeout=2,
+                                  backoff_base=0.01, backoff_max=0.05),
+            )
+            elapsed = time.monotonic() - started
+        finally:
+            _HANG_MARKER.clear()
+        assert elapsed < 20, f"a hung group held the sweep for {elapsed:.1f}s"
+        assert canon_matrix(outcome) == fast_baseline
+        report = outcome.failure_report
+        timeouts = report.attempts_with_error("CellTimeoutError")
+        assert timeouts
+        assert all(a.attempt == 0 and a.classification == "transient"
+                   for a in timeouts)
+        # The group deadline is cell_timeout x its 3 policies; every cell
+        # of the hung group is charged the one group timeout.
+        assert all(a.duration >= 2 * len(POLICIES) for a in timeouts)
+        (hung,) = {w for w, _ in report.cells}
+        assert set(report.cells) == {(hung, p) for p in POLICIES}
+        assert all(h.outcome == OUTCOME_RECOVERED for h in report.cells.values())
+        assert report.pool_rebuilds >= 1
+
+    def test_workers_drop_the_shutdown_handlers(self):
+        """Forked workers must not inherit the CLI's graceful-shutdown
+        handlers: the watchdog's terminate() has to kill a hung worker,
+        and a terminal Ctrl-C is the parent's to handle."""
+        from repro.resilience.durability import ShutdownCoordinator
+
+        with ShutdownCoordinator():
+            with ProcessPoolExecutor(
+                max_workers=1, initializer=_init_worker, initargs=({},)
+            ) as pool:
+                term, intr = pool.submit(_signal_actions).result()
+        assert term == signal.SIG_DFL
+        assert intr == signal.SIG_IGN
 
 
 class TestEquivalenceHarness:

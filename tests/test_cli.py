@@ -361,8 +361,9 @@ class TestDurableSweep:
         assert report["clean"] is True
         assert report["checked"] == 2
 
-        entry = next(p for p in Path(tmp_path).rglob("*.json")
-                     if p.parent.name != "quarantine")
+        # A cache entry, at <salt>/<key[:2]>/<key>.json: the journal
+        # directory under the same root holds the run's failure report.
+        entry = next(Path(tmp_path).glob("*/*/*.json"))
         entry.write_text(entry.read_text()[:-20], encoding="utf-8")
         assert main(["cache", "verify", "--json"]) == 1
         report = json.loads(capsys.readouterr().out)

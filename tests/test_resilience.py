@@ -24,6 +24,7 @@ from repro.resilience import (
     classify_failure,
 )
 from repro.resilience.chaos import plan_chaos, run_chaos
+from repro.resilience.executor import WorkUnit
 from repro.resilience.report import (
     OUTCOME_POISONED,
     OUTCOME_RECOVERED,
@@ -153,7 +154,7 @@ class TestResilientExecutorSerial:
     def test_transient_failure_recovers(self):
         calls = []
 
-        def flaky(workload, policy, attempt):
+        def flaky(unit, attempt):
             calls.append(attempt)
             if attempt < 3:
                 raise OSError("transient")
@@ -161,7 +162,7 @@ class TestResilientExecutorSerial:
 
         report = FailureReport()
         executor, successes, failures = self._executor(flaky, report=report)
-        executor.run_serial([("w", "p")])
+        executor.run_serial([WorkUnit("w", ("p",))])
         assert calls == [1, 2, 3]
         assert successes == [("w", "p", "ok")]
         assert not failures
@@ -173,32 +174,32 @@ class TestResilientExecutorSerial:
     def test_deterministic_failure_fails_fast(self):
         calls = []
 
-        def broken(workload, policy, attempt):
+        def broken(unit, attempt):
             calls.append(attempt)
             raise ValueError("bug")
 
         executor, successes, failures = self._executor(broken)
-        executor.run_serial([("w", "p")])
+        executor.run_serial([WorkUnit("w", ("p",))])
         assert calls == [1], "deterministic failures must not be retried"
         assert failures[0][3] is FailureKind.DETERMINISTIC
 
     def test_memory_error_is_poison(self):
-        def oom(workload, policy, attempt):
+        def oom(unit, attempt):
             raise MemoryError("oom")
 
         report = FailureReport()
         executor, _, failures = self._executor(oom, report=report)
-        executor.run_serial([("w", "p")])
+        executor.run_serial([WorkUnit("w", ("p",))])
         assert failures[0][3] is FailureKind.POISON
         assert report.cells[("w", "p")].outcome == OUTCOME_POISONED
 
     def test_retries_exhausted_fails(self):
-        def always(workload, policy, attempt):
+        def always(unit, attempt):
             raise OSError("transient forever")
 
         retry = RetryPolicy(max_attempts=2, **FAST_RETRY)
         executor, _, failures = self._executor(always, retry=retry)
-        executor.run_serial([("w", "p")])
+        executor.run_serial([WorkUnit("w", ("p",))])
         assert len(failures) == 1
         assert failures[0][3] is FailureKind.TRANSIENT
 
@@ -209,9 +210,9 @@ class TestResilientExecutorSerial:
             retry=RetryPolicy(max_attempts=10, poison_strikes=2, **FAST_RETRY),
             report=report,
         )
-        from repro.resilience.executor import _CellState
+        from repro.resilience.executor import _UnitState
 
-        cell = _CellState("w", "p")
+        cell = _UnitState(WorkUnit("w", ("p",)))
         rescheduled = []
         executor._absorb(cell, BrokenProcessPool("x"), 0.0, strike=True,
                          reschedule=lambda c, b: rescheduled.append(b))

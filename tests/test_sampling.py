@@ -84,36 +84,28 @@ class TestSamplingSpec:
             SamplingSpec.from_string("k=four")
 
     def test_from_string_synthesis_and_replay(self):
-        spec = SamplingSpec.from_string("synthesis=replay,replay=2")
-        assert spec == SamplingSpec(warm_synthesis="replay", replay_windows=2)
         assert SamplingSpec.from_string(
             "synthesis=checkpoint"
         ) == SamplingSpec(warm_synthesis="checkpoint")
+        # The training-only replay strategy and its window key are gone.
+        with pytest.raises(ConfigurationError, match="warm_synthesis"):
+            SamplingSpec.from_string("synthesis=replay")
+        with pytest.raises(ConfigurationError, match="bad sampling spec"):
+            SamplingSpec.from_string("replay=2")
 
     def test_from_string_rejects_unknown_synthesis(self):
         with pytest.raises(ConfigurationError, match="warm_synthesis"):
             SamplingSpec.from_string("synthesis=psychic")
 
     def test_json_roundtrip_carries_synthesis(self):
-        spec = SamplingSpec(warm_synthesis="replay", replay_windows=3)
+        spec = SamplingSpec(warm_synthesis="checkpoint")
         assert SamplingSpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_describe_names_the_strategy(self):
         assert "synthesis=recency" in SamplingSpec().describe()
-        assert "replay(2w)" in SamplingSpec(
-            warm_synthesis="replay", replay_windows=2
+        assert "synthesis=checkpoint" in SamplingSpec(
+            warm_synthesis="checkpoint"
         ).describe()
-
-    def test_effective_window_budgets_replay_windows(self):
-        base = SamplingSpec()
-        replay = SamplingSpec(warm_synthesis="replay", replay_windows=4)
-        n = 1_000_000
-        # Replay windows cost a functional pass each, so the auto window
-        # shrinks to keep total touched work within the same budget.
-        assert replay.effective_window(n) < base.effective_window(n)
-        per_interval = replay.warm_windows + 1 + replay.replay_windows
-        window = replay.effective_window(n)
-        assert replay.intervals * per_interval * window <= n // replay.target_reduction
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -123,7 +115,7 @@ class TestSamplingSpec:
             {"warm_windows": -1},
             {"target_reduction": 1},
             {"warm_synthesis": "psychic"},
-            {"replay_windows": 0},
+            {"warm_synthesis": "replay"},
         ],
     )
     def test_validation(self, kwargs):
@@ -358,7 +350,7 @@ class TestSweepIntegration:
             "lru",
             machine,
             0.1,
-            sampling=SamplingSpec(warm_synthesis="replay"),
+            sampling=SamplingSpec(warm_synthesis="checkpoint"),
         )
         assert len({base, sampled, reseeded, resynthesized}) == 4
 

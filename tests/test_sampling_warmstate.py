@@ -223,28 +223,6 @@ class TestShortTraceGuards:
 
 
 class TestSynthesisStrategies:
-    def test_replay_is_deterministic_and_reported(self, machine, phase_trace):
-        spec = SamplingSpec(intervals=3, window_size=500, warm_synthesis="replay")
-        a = simulate_sampled(
-            phase_trace, config=machine, llc_policy="ship", sampling=spec
-        )
-        b = simulate_sampled(
-            phase_trace, config=machine, llc_policy="ship", sampling=spec
-        )
-        assert canonical(a) == canonical(b)
-        assert a.info["sampling_replay_accesses"] > 0
-        assert a.info["sampling_checkpoint_restores"] == 0
-
-    def test_replay_start_precedes_warm_start(self, phase_trace):
-        spec = SamplingSpec(
-            intervals=3, window_size=500, warm_synthesis="replay", replay_windows=2
-        )
-        plan = build_plan(phase_trace, spec)
-        for interval in plan.intervals:
-            assert 0 <= interval.replay_start <= interval.warm_start
-            assert interval.warm_start - interval.replay_start <= 2 * plan.window_size
-        assert plan.functional_accesses > 0
-
     def test_checkpoint_requires_the_protocol(self, machine, phase_trace):
         """An unregistered table-less policy cannot run under checkpoint."""
 
@@ -420,7 +398,7 @@ class TestCrossProcessDeterminism:
         """
     )
 
-    @pytest.mark.parametrize("synthesis", ("replay", "checkpoint"))
+    @pytest.mark.parametrize("synthesis", ("checkpoint",))
     def test_bit_identical_across_processes(self, synthesis):
         script = self.SCRIPT.format(synthesis=synthesis)
         outputs = [
