@@ -41,7 +41,7 @@ import warnings
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, cast
+from typing import TYPE_CHECKING, Callable
 
 from ..core.config import MachineConfig, cascade_lake
 from ..core.results import RESULT_SCHEMA_VERSION, SimulationResult
@@ -741,7 +741,9 @@ def _init_worker(traces: dict[str, Trace]) -> None:
     a flag. A worker restores the default SIGTERM action, so the
     watchdog's ``terminate()`` really stops a hung worker, and ignores
     SIGINT, so a terminal Ctrl-C reaches only the parent, which drains
-    the workers.
+    the workers. (A guarded cell still stops on a memory-budget breach:
+    :func:`~repro.resilience.durability.memory_guard` routes the
+    watchdog's interrupt past the ignored SIGINT.)
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -1090,13 +1092,7 @@ class SweepEngine:
         if journal is not None:
             journal.flush()
 
-        def record(workload: str, policy: str, payload: object) -> None:
-            # A cell unit returns (workload, policy, result); a batch
-            # group hands over each completed cell's bare result.
-            result = cast(
-                SimulationResult,
-                payload[2] if isinstance(payload, tuple) else payload,
-            )
+        def record(workload: str, policy: str, result: SimulationResult) -> None:
             resolved[(workload, policy)] = result
             stats.simulated += 1
             key = None
@@ -1230,7 +1226,7 @@ class SweepEngine:
         telemetry: TelemetryConfig | None,
         retry: RetryPolicy,
         chaos: "ChaosPlan | None",
-        on_success: Callable[[str, str, object], None],
+        on_success: Callable[[str, str, SimulationResult], None],
         on_failure: Callable[[str, str, BaseException, FailureKind], None],
         engine: str,
         sampling: SamplingSpec | None,
@@ -1241,12 +1237,13 @@ class SweepEngine:
     ) -> None:
         """Run the work units through the :class:`ResilientExecutor`.
 
-        Units run in-process unless there is more than one and ``jobs``
-        allows a pool. The watchdog and chaos injection both need units
-        in worker processes (a hung or crashing in-process cell takes
-        the sweep with it), so either forces the pool even at
-        ``jobs=1``. ``report`` is filled in place (the engine passes its
-        own so the partial report survives an interrupt mid-run).
+        Units run in-process unless there is more than one cell to run
+        and ``jobs`` allows a pool. The watchdog and chaos injection
+        both need units in worker processes (a hung or crashing
+        in-process cell takes the sweep with it), so either forces the
+        pool even at ``jobs=1``. ``report`` is filled in place (the
+        engine passes its own so the partial report survives an
+        interrupt mid-run).
         """
         from ..resilience.chaos import _chaos_simulate_cell
 
@@ -1283,7 +1280,9 @@ class SweepEngine:
                 memory_budget_mb,
             )
 
-        workers = min(self.jobs, len(units)) or 1
+        # Sized by cells, not units: one group can hand back several
+        # cells, which then run side by side on the same pool.
+        workers = min(self.jobs, sum(len(unit.policies) for unit in units)) or 1
 
         def pool_factory() -> ProcessPoolExecutor:
             # Every pool generation (including watchdog rebuilds) gets

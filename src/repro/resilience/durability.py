@@ -44,10 +44,11 @@ import sys
 import threading
 import time
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from types import FrameType
+from typing import Any
 
 from ..errors import MemoryBudgetError, ResilienceError
 
@@ -520,8 +521,9 @@ class MemoryWatchdog:
     Runs a daemon thread; on breach it records the measured RSS, then
     interrupts the main thread so the in-flight cell stops *now* rather
     than after the allocation that would have drawn the OOM-killer. The
-    :func:`memory_guard` wrapper converts that interrupt into a
-    structured :class:`~repro.errors.MemoryBudgetError`.
+    :func:`memory_guard` wrapper routes that interrupt to the cell,
+    whatever SIGINT's handler is, and converts it into a structured
+    :class:`~repro.errors.MemoryBudgetError`.
     """
 
     def __init__(self, budget_mb: float, interval: float = 0.05) -> None:
@@ -538,6 +540,10 @@ class MemoryWatchdog:
     @property
     def breached(self) -> bool:
         return self.breached_rss is not None
+
+    @property
+    def stopped(self) -> bool:
+        return self._stop.is_set()
 
     def _watch(self) -> None:
         # First sample after a few milliseconds, then every interval. A
@@ -588,6 +594,7 @@ def memory_guard(budget_mb: float | None) -> Iterator[None]:
         yield
         return
     watchdog = MemoryWatchdog(budget_mb)
+    previous = _route_breach_interrupt(watchdog)
     try:
         try:
             # Inside the handler: on a loaded host the first sample can
@@ -600,9 +607,47 @@ def memory_guard(budget_mb: float | None) -> Iterator[None]:
             raise
     finally:
         watchdog.stop()
+        if previous is not None:
+            signal.signal(signal.SIGINT, previous)
     if watchdog.breached:
         # The interrupt raced the cell's completion; the verdict stands.
         raise _budget_error(watchdog, budget_mb)
+
+
+def _route_breach_interrupt(
+    watchdog: MemoryWatchdog,
+) -> Callable[[int, FrameType | None], Any] | int | None:
+    """Make the watchdog's interrupt reach the guarded cell.
+
+    ``_thread.interrupt_main`` only runs the SIGINT *handler*: it does
+    nothing where SIGINT is ignored (pool workers, see
+    :func:`repro.harness.engine._init_worker`) and merely requests a
+    graceful stop where a :class:`ShutdownCoordinator` holds SIGINT.
+    For the guarded span this installs a handler that raises
+    ``KeyboardInterrupt`` once the watchdog has tripped and otherwise
+    defers to the previous action, so an outside Ctrl-C still means
+    what it meant. Returns the previous handler for the caller to
+    restore, or ``None`` where none could be installed (off the main
+    thread, or a handler not set from Python).
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return None
+    previous = signal.getsignal(signal.SIGINT)
+    if previous is None:
+        return None
+
+    def handler(signum: int, frame: FrameType | None) -> None:
+        if watchdog.breached:
+            if not watchdog.stopped:
+                raise KeyboardInterrupt
+            return  # late: memory_guard raises the verdict itself
+        if callable(previous):
+            previous(signum, frame)
+        elif previous != signal.SIG_IGN:
+            raise KeyboardInterrupt  # SIG_DFL: a Ctrl-C stops the process
+
+    signal.signal(signal.SIGINT, handler)
+    return previous
 
 
 def _budget_error(watchdog: MemoryWatchdog, budget_mb: float) -> MemoryBudgetError:

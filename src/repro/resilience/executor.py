@@ -56,7 +56,7 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import cast
+from typing import Any, cast
 
 from ..errors import CellTimeoutError, MemoryBudgetError
 from .durability import ShutdownCoordinator
@@ -141,8 +141,9 @@ class ResilientExecutor:
         equivalent (``run_serial``).
     on_success:
         Called with ``(workload, policy, result)`` for every finished
-        cell: the unit's result for a cell unit, the outcome payload for
-        a cell a group completed.
+        cell. A cell unit's call returns ``(workload, policy, result)``
+        (as the sweep's cell workers do); a group's completed outcome
+        carries the result as its payload.
     on_failure:
         Called with ``(workload, policy, exc, kind)`` when a cell is
         abandoned (retries exhausted, deterministic, or poison). May
@@ -169,7 +170,7 @@ class ResilientExecutor:
         workers: int,
         submit: Callable[[ProcessPoolExecutor, WorkUnit, int], Future],
         run_inline: Callable[[WorkUnit, int], object],
-        on_success: Callable[[str, str, object], None],
+        on_success: Callable[[str, str, Any], None],
         on_failure: Callable[[str, str, BaseException, FailureKind], None],
         report: FailureReport,
         pool_factory: Callable[[], ProcessPoolExecutor] | None = None,
@@ -232,7 +233,8 @@ class ResilientExecutor:
     ) -> None:
         """Record a finished unit; a group's unfinished cells are requeued."""
         if not state.unit.group:
-            self._succeed(state.workload, state.policy, result)
+            _, _, cell_result = cast("tuple[str, str, object]", result)
+            self._succeed(state.workload, state.policy, cell_result)
             return
         for policy, completed, payload in cast("list[tuple[str, bool, object]]", result):
             if completed:

@@ -412,6 +412,27 @@ class TestTraceDedup:
             (w, "ship") for w in traces
         )
 
+    def test_single_group_hands_back_cells_to_the_pool(
+        self, machine, monkeypatch
+    ):
+        # One workload is one unit; the pool is sized by its cells, so
+        # the cells an ineligible group hands back still run in parallel.
+        wb = {"wb": make_trace(
+            [i * 64 for i in range(64)], kinds=int(AccessKind.WRITEBACK),
+            name="wb",
+        )}
+        fast = canon_matrix(SweepEngine().run(wb, POLICIES, config=machine))
+        captured = self._recording_pool(monkeypatch)
+        outcome = SweepEngine(jobs=2).run(
+            wb, POLICIES, config=machine, engine="batched"
+        )
+        assert canon_matrix(outcome) == fast
+        assert len(captured["initargs"]) == 1
+        names = [name for name, _ in captured["submits"]]
+        assert names.count("_simulate_group_by_name") == 1
+        assert names.count("_simulate_cell_by_name") == len(POLICIES)
+        assert not outcome.failure_report.cells  # ineligible is no failure
+
     def test_worker_registry_resolves_and_rejects(self, machine, traces):
         _install_worker_traces(dict(traces))
         try:

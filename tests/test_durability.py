@@ -5,6 +5,7 @@ watchdog), failure-report persistence, and the chaos v2 plumbing."""
 import errno
 import json
 import os
+import signal
 import time
 import warnings
 
@@ -535,6 +536,53 @@ class TestMemoryGovernance:
             isolate_failures=True, memory_budget_mb=1.0)
         assert not outcome.matrix.results
         assert len(outcome.errors) == 4
+        for error in outcome.errors.values():
+            assert error.error_type == "MemoryBudgetError"
+            assert error.classification == "poison"
+
+    @staticmethod
+    def _busy(seconds: float) -> float:
+        """A Python-level stand-in for a long cell; returns its runtime."""
+        started = time.monotonic()
+        while time.monotonic() - started < seconds:
+            time.sleep(0.02)
+        return time.monotonic() - started
+
+    def test_breach_stops_a_cell_where_sigint_is_ignored(self):
+        # Pool workers ignore SIGINT, which _thread.interrupt_main would
+        # silently respect; the guard must still stop the cell early.
+        original = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            started = time.monotonic()
+            with pytest.raises(MemoryBudgetError):
+                with memory_guard(1.0):
+                    self._busy(20.0)
+            assert time.monotonic() - started < 10.0
+            assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGINT, original)
+
+    def test_breach_is_not_taken_for_a_shutdown(self):
+        with ShutdownCoordinator() as shutdown:
+            handler = signal.getsignal(signal.SIGINT)
+            with pytest.raises(MemoryBudgetError):
+                with memory_guard(1.0):
+                    self._busy(20.0)
+            assert not shutdown.requested
+            assert signal.getsignal(signal.SIGINT) == handler
+
+    def test_pool_worker_breach_stops_the_cell(self, traces, monkeypatch):
+        import repro.harness.engine as eng
+
+        # Forked workers inherit the patch: every cell runs ~30 s.
+        monkeypatch.setattr(eng, "simulate", lambda *a, **k: self._busy(30.0))
+        started = time.monotonic()
+        outcome = SweepEngine(jobs=2).run(
+            traces, ["lru"], config=tiny_config(), isolate_failures=True,
+            memory_budget_mb=1.0)
+        elapsed = time.monotonic() - started
+        assert elapsed < 15.0, f"budget breach let the cells run {elapsed:.1f}s"
+        assert len(outcome.errors) == 2
         for error in outcome.errors.values():
             assert error.error_type == "MemoryBudgetError"
             assert error.classification == "poison"

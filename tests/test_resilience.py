@@ -158,7 +158,7 @@ class TestResilientExecutorSerial:
             calls.append(attempt)
             if attempt < 3:
                 raise OSError("transient")
-            return "ok"
+            return unit.workload, unit.policies[0], "ok"
 
         report = FailureReport()
         executor, successes, failures = self._executor(flaky, report=report)
